@@ -399,6 +399,14 @@ mod tests {
     }
 
     #[test]
+    fn higher_rate_strikes_more_sites() {
+        let space = FaultSpace::new(64, 16, FaultDomain::ComputeEngine);
+        let low = FaultMap::generate(&space, 0.001, 2);
+        let high = FaultMap::generate(&space, 0.1, 2);
+        assert!(high.len() > low.len() * 10);
+    }
+
+    #[test]
     fn rate_one_strikes_everything() {
         let space = FaultSpace::new(4, 2, FaultDomain::Neurons(None));
         let map = FaultMap::generate(&space, 1.0, 5);

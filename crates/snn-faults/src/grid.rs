@@ -10,9 +10,8 @@
 //! with:
 //!
 //! * **deterministic per-point seeds** unified with the historical
-//!   `point_seed`/[`crate::campaign::Campaign::seed_for`] packing
-//!   ([`pack_point`] / [`grid_point_seed`]), so refactored figures
-//!   reproduce their stored results bit for bit;
+//!   `point_seed` packing ([`pack_point`] / [`grid_point_seed`]), so
+//!   refactored figures reproduce their stored results bit for bit;
 //! * **shard-local deployment reuse** — points are sharded
 //!   deterministically over [`snn_sim::parallel::parallel_map`], one
 //!   evaluation-state clone per shard instead of one per point, healed
@@ -44,11 +43,11 @@ use crate::stats::{Lookahead, StatsError, StopRule, Streaming};
 /// high word, technique in bits 16..32, trial in the low bits.
 ///
 /// This is *the* packing of the workspace: with `technique_idx == 0` it
-/// degenerates to [`crate::campaign::Campaign::seed_for`]'s
-/// `(rate_idx << 32) | trial`, and with all three indices it is the figure
-/// harness's historical `point_seed` stream. Every stored campaign result
-/// depends on it, so the values are pinned by regression tests rather
-/// than left to convention.
+/// degenerates to the pre-grid `(rate_idx << 32) | trial` campaign
+/// stream, and with all three indices it is the figure harness's
+/// historical `point_seed` stream. Every stored campaign result depends
+/// on it, so the values are pinned by regression tests rather than left
+/// to convention.
 #[inline]
 pub fn pack_point(rate_idx: usize, technique_idx: usize, trial: usize) -> u64 {
     ((rate_idx as u64) << 32) | ((technique_idx as u64) << 16) | (trial as u64)
@@ -214,6 +213,26 @@ impl GridSpec {
     /// Every grid point, in flat-index order.
     pub fn points(&self) -> Vec<GridPointCtx> {
         (0..self.n_points()).map(|i| self.point(i)).collect()
+    }
+
+    /// Every cell of the grid, in cell order (technique-major).
+    pub(crate) fn cell_keys(&self) -> Vec<CellKey> {
+        (0..self.techniques.len())
+            .flat_map(|technique_idx| {
+                (0..self.rates.len()).map(move |rate_idx| CellKey {
+                    technique_idx,
+                    rate_idx,
+                })
+            })
+            .collect()
+    }
+
+    /// The points of one cell (all its trials, contiguous in point order).
+    pub(crate) fn cell_points(&self, key: CellKey) -> Vec<GridPointCtx> {
+        let first = (key.technique_idx * self.rates.len() + key.rate_idx) * self.trials;
+        (first..first + self.trials)
+            .map(|i| self.point(i))
+            .collect()
     }
 }
 
@@ -632,10 +651,29 @@ impl GridRunner {
         &self.spec
     }
 
+    /// Runs the per-point closure over every grid point, aggregated into
+    /// [`GridResults`] cells in one pass ([`run_grouped`]
+    /// (Self::run_grouped) with one closure call per point).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing point's error in point order.
+    pub fn run<S, E, F>(&self, proto: &S, f: F) -> Result<GridResults, E>
+    where
+        S: Clone + Sync,
+        E: Send,
+        F: Fn(&mut S, &GridPointCtx) -> Result<f64, E> + Sync,
+    {
+        self.run_grouped(proto, |state, shard| {
+            shard.iter().map(|p| f(state, p)).collect()
+        })
+    }
+
     /// Runs the shard-level closure over every shard — in parallel across
-    /// shards, in point order within a shard — and returns the values in
-    /// flat point order. The closure must return exactly one value per
-    /// point it was handed.
+    /// shards, in point order within a shard — and aggregates the values
+    /// into [`GridResults`] cells in one pass. The closure is called once
+    /// per shard and must return exactly one value per point it was
+    /// handed.
     ///
     /// This is the hook trial-group batching plugs into: a shard's points
     /// arrive together, so the closure can hand contiguous same-technique
@@ -648,82 +686,15 @@ impl GridRunner {
     /// # Panics
     ///
     /// Panics if a shard closure returns the wrong number of values.
-    pub fn run_sharded<S, V, E, F>(&self, proto: &S, f: F) -> Result<Vec<V>, E>
-    where
-        S: Clone + Sync,
-        V: Send,
-        E: Send,
-        F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<V>, E> + Sync,
-    {
-        let points = self.spec.points();
-        let shard_len = (self.cells_per_shard * self.spec.trials).max(1);
-        let shards: Vec<&[GridPointCtx]> = points.chunks(shard_len).collect();
-        let outcomes = parallel_map(&shards, |shard| {
-            let mut state = proto.clone();
-            f(&mut state, shard)
-        });
-        let mut values = Vec::with_capacity(points.len());
-        for (shard, outcome) in shards.iter().zip(outcomes) {
-            let shard_values = outcome?;
-            assert_eq!(
-                shard_values.len(),
-                shard.len(),
-                "shard closure must return one value per point"
-            );
-            values.extend(shard_values);
-        }
-        Ok(values)
-    }
-
-    /// Runs the per-point closure over every grid point (built on
-    /// [`run_sharded`](Self::run_sharded)); values come back in flat
-    /// point order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing point's error.
-    pub fn run_points<S, V, E, F>(&self, proto: &S, f: F) -> Result<Vec<V>, E>
-    where
-        S: Clone + Sync,
-        V: Send,
-        E: Send,
-        F: Fn(&mut S, &GridPointCtx) -> Result<V, E> + Sync,
-    {
-        self.run_sharded(proto, |state, shard| {
-            shard.iter().map(|p| f(state, p)).collect()
-        })
-    }
-
-    /// [`run_points`](Self::run_points) for `f64` metrics, aggregated
-    /// into [`GridResults`] cells in one pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing point's error.
-    pub fn run<S, E, F>(&self, proto: &S, f: F) -> Result<GridResults, E>
-    where
-        S: Clone + Sync,
-        E: Send,
-        F: Fn(&mut S, &GridPointCtx) -> Result<f64, E> + Sync,
-    {
-        let values = self.run_points(proto, f)?;
-        Ok(GridResults::aggregate(&self.spec, &values))
-    }
-
-    /// [`run_sharded`](Self::run_sharded) for `f64` metrics, aggregated
-    /// into [`GridResults`] cells in one pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing shard's error.
     pub fn run_grouped<S, E, F>(&self, proto: &S, f: F) -> Result<GridResults, E>
     where
         S: Clone + Sync,
         E: Send,
         F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E> + Sync,
     {
-        let values = self.run_sharded(proto, f)?;
-        Ok(GridResults::aggregate(&self.spec, &values))
+        let cells = self.run_cells(&self.spec.cell_keys(), None, proto, &f, no_sink)?;
+        let trials = cells.into_iter().map(|(values, _)| values).collect();
+        Ok(GridResults::from_cell_trials(&self.spec, trials))
     }
 
     /// Runs the grid adaptively: each cell consumes its trials **in the
@@ -737,10 +708,11 @@ impl GridRunner {
     /// The closure contract is [`run_grouped`](Self::run_grouped)'s: it
     /// is handed *contiguous* point runs of one cell and returns one
     /// value per point. It is first called with the `min_trials` head of
-    /// the cell, then with one point at a time until the rule stops the
-    /// cell — each call must evaluate its points independently of call
-    /// grouping (true of every workspace evaluation path: heal-on-entry
-    /// makes grouping a pure batching concern).
+    /// the cell, then with groups sized by the armed [`Lookahead`] until
+    /// the rule stops the cell — each call must evaluate its points
+    /// independently of call grouping (true of every workspace
+    /// evaluation path: heal-on-entry makes grouping a pure batching
+    /// concern).
     ///
     /// # Errors
     ///
@@ -789,54 +761,92 @@ impl GridRunner {
         let rule = self
             .stop_rule
             .as_ref()
-            .expect("run_adaptive needs a stop rule; arm one with with_stop_rule");
-        let points = self.spec.points();
-        let cell_points: Vec<&[GridPointCtx]> = points.chunks(self.spec.trials).collect();
-        let outcomes = parallel_map(&cell_points, |cell| {
+            .expect("run_adaptive needs a stop rule");
+        let cells = self.run_cells(&self.spec.cell_keys(), Some(rule), proto, &f, no_sink)?;
+        let (trials, evaluated) = cells.into_iter().unzip();
+        Ok((GridResults::from_cell_trials(&self.spec, trials), evaluated))
+    }
+
+    /// The one cell loop behind every grid and campaign-job run.
+    ///
+    /// `cells` (in cell order) are split into shards; each shard clones
+    /// `proto` once inside one [`parallel_map`]. Without a rule a shard
+    /// covers [`cells_per_shard`](Self::with_cells_per_shard) cells and
+    /// its points go to `f` in **one** call — a fixed budget is the
+    /// whole-budget branch of [`adaptive_cell_lookahead`]. Under a rule
+    /// every cell is its own shard and stops on its own prefix.
+    ///
+    /// `sink` sees each cell's kept values and evaluated-trial count
+    /// from inside the worker, as the cell lands (the campaign service
+    /// checkpoints there). Returns the same pairs in `cells` order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of `f` or `sink` in cell order; cells of
+    /// other shards still land.
+    pub(crate) fn run_cells<S, E, F, K>(
+        &self,
+        cells: &[CellKey],
+        rule: Option<&StopRule>,
+        proto: &S,
+        f: &F,
+        sink: K,
+    ) -> Result<Vec<(Vec<f64>, usize)>, E>
+    where
+        S: Clone + Sync,
+        E: Send,
+        F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E> + Sync,
+        K: Fn(CellKey, &[f64], usize) -> Result<(), E> + Sync,
+    {
+        let cells_per_shard = if rule.is_some() {
+            1
+        } else {
+            self.cells_per_shard
+        };
+        let shards: Vec<&[CellKey]> = cells.chunks(cells_per_shard).collect();
+        let outcomes = parallel_map(&shards, |shard| {
             let mut state = proto.clone();
-            adaptive_cell_lookahead(&mut state, cell, rule, self.lookahead, &f)
+            let points: Vec<GridPointCtx> = shard
+                .iter()
+                .flat_map(|&key| self.spec.cell_points(key))
+                .collect();
+            let (values, evaluated) =
+                adaptive_cell_lookahead(&mut state, &points, rule, self.lookahead, f)?;
+            // A fixed shard holds whole-budget cells; a rule's shard is
+            // a single cell, so either way the count splits evenly.
+            let per_cell = evaluated / shard.len();
+            let mut landed = Vec::with_capacity(shard.len());
+            for (&key, values) in shard.iter().zip(values.chunks(self.spec.trials)) {
+                sink(key, values, per_cell)?;
+                landed.push((values.to_vec(), per_cell));
+            }
+            Ok(landed)
         });
-        let mut cell_trials = Vec::with_capacity(cell_points.len());
-        let mut evaluated = Vec::with_capacity(cell_points.len());
+        let mut landed = Vec::with_capacity(cells.len());
         for outcome in outcomes {
-            let (values, cell_evaluated) = outcome?;
-            cell_trials.push(values);
-            evaluated.push(cell_evaluated);
+            landed.extend(outcome?);
         }
-        Ok((
-            GridResults::from_cell_trials(&self.spec, cell_trials),
-            evaluated,
-        ))
+        Ok(landed)
     }
 }
 
-/// Evaluates one cell's trials sequentially under a stop rule: the
-/// `min_trials` head in one closure call (so grouped evaluation keeps
-/// its batching there), then one trial at a time until the rule is
-/// satisfied or the cell's pinned points run out. Equivalent to
-/// [`adaptive_cell_lookahead`] with [`Lookahead::Fixed`]`(1)` and no
-/// waste (every evaluated trial is kept). Shared by
-/// [`GridRunner::run_adaptive`] and the campaign service's adaptive
-/// checkpointing ([`crate::service::JobHandle::run`]), so both stop at
-/// literally the same trial.
-///
-/// # Errors
-///
-/// Propagates the closure's error.
-///
-/// # Panics
-///
-/// Panics if the closure returns the wrong number of values.
-pub fn adaptive_cell_values<S, E, F>(
-    state: &mut S,
-    cell: &[GridPointCtx],
-    rule: &StopRule,
-    f: &F,
-) -> Result<Vec<f64>, E>
+/// The sink of in-memory runs: cells land only in the returned values.
+fn no_sink<E>(_: CellKey, _: &[f64], _: usize) -> Result<(), E> {
+    Ok(())
+}
+
+/// Calls `f` on `points`, checking it returned one value per point.
+fn eval_points<S, E, F>(state: &mut S, points: &[GridPointCtx], f: &F) -> Result<Vec<f64>, E>
 where
     F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E>,
 {
-    adaptive_cell_lookahead(state, cell, rule, Lookahead::Fixed(1), f).map(|(values, _)| values)
+    let values = f(state, points)?;
+    assert_eq!(
+        values.len(),
+        points.len(),
+        "cell closure must return one value per point"
+    );
+    Ok(values)
 }
 
 /// Evaluates one cell's trials under a stop rule with speculative
@@ -850,61 +860,41 @@ where
 /// run for *every* policy, because heal-on-entry makes the closure's
 /// values independent of how calls are grouped.
 ///
-/// Never-satisfiable rules (`half_width = 0`) skip the decision loop
-/// entirely: the whole cell runs as one grouped call, since no prefix
-/// check could ever cut it short.
+/// No rule (a fixed budget) and never-satisfiable rules
+/// (`half_width = 0`) skip the decision loop entirely: the points run
+/// as one grouped call, since no prefix check could ever cut them
+/// short. Without a rule `points` may span several whole cells.
 ///
 /// Returns the kept values and the number of trials **evaluated**
 /// (kept plus speculatively discarded; always `>= values.len()`).
-///
-/// # Errors
-///
-/// Propagates the closure's error.
-///
-/// # Panics
-///
-/// Panics if the closure returns the wrong number of values.
-pub fn adaptive_cell_lookahead<S, E, F>(
+fn adaptive_cell_lookahead<S, E, F>(
     state: &mut S,
-    cell: &[GridPointCtx],
-    rule: &StopRule,
+    points: &[GridPointCtx],
+    rule: Option<&StopRule>,
     lookahead: Lookahead,
     f: &F,
 ) -> Result<(Vec<f64>, usize), E>
 where
     F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E>,
 {
-    if rule.is_never_satisfiable() {
-        let len = rule.max_trials.min(cell.len());
-        let values = f(state, &cell[..len])?;
-        assert_eq!(
-            values.len(),
-            len,
-            "cell closure must return one value per point"
-        );
-        return Ok((values, len));
-    }
-    let head_len = rule.min_trials.min(cell.len());
+    let rule = match rule {
+        Some(rule) if !rule.is_never_satisfiable() => rule,
+        _ => {
+            let len = rule.map_or(points.len(), |r| r.max_trials.min(points.len()));
+            return Ok((eval_points(state, &points[..len], f)?, len));
+        }
+    };
+    let head_len = rule.min_trials.min(points.len());
     let mut acc = Streaming::new();
-    let mut values = f(state, &cell[..head_len])?;
-    assert_eq!(
-        values.len(),
-        head_len,
-        "cell closure must return one value per point"
-    );
+    let mut values = eval_points(state, &points[..head_len], f)?;
     for &v in &values {
         acc.push(v);
     }
     let mut evaluated = head_len;
-    while !rule.satisfied(&acc) && values.len() < cell.len() {
-        let remaining = cell.len() - values.len();
+    while !rule.satisfied(&acc) && values.len() < points.len() {
+        let remaining = points.len() - values.len();
         let k = lookahead.group_size(rule, &acc, remaining);
-        let group = f(state, &cell[values.len()..values.len() + k])?;
-        assert_eq!(
-            group.len(),
-            k,
-            "cell closure must return one value per point"
-        );
+        let group = eval_points(state, &points[values.len()..values.len() + k], f)?;
         evaluated += k;
         let keep = match rule.first_stop_index(&acc, &group) {
             Some(i) => i + 1,
@@ -960,19 +950,12 @@ mod tests {
     }
 
     /// The packing contract with the rest of the workspace: technique 0
-    /// degenerates to the campaign packing, and the full form matches the
-    /// figure harness's historical `point_seed` formula.
+    /// keeps rate and trial in disjoint halves, and the full form matches
+    /// the figure harness's historical `point_seed` formula.
     #[test]
-    fn seed_packing_matches_campaign_and_point_seed() {
+    fn seed_packing_matches_the_historical_point_seed() {
         assert_eq!(pack_point(3, 0, 5), (3_u64 << 32) | 5);
         assert_eq!(pack_point(3, 2, 5), (3_u64 << 32) | (2 << 16) | 5);
-        // Campaign::seed_for(ri, t) == derive_seed(base, pack_point(ri, 0, t)).
-        let c = crate::campaign::Campaign::new(vec![0.1; 4], 8, 42);
-        for ri in 0..4 {
-            for t in 0..8 {
-                assert_eq!(c.seed_for(ri, t), derive_seed(42, pack_point(ri, 0, t)));
-            }
-        }
         // grid_point_seed == the historical point_seed formula.
         let base = 0x50F7_511F_u64;
         for fig in [10_u64, 13, 99] {
@@ -984,6 +967,32 @@ mod tests {
                 assert_eq!(grid_point_seed(base, fig, ri, t, ti), legacy);
             }
         }
+    }
+
+    /// Pins the exact derived seeds of the technique-0 stream at figure
+    /// 0 (where `grid_point_seed` is `derive_seed(base, (rate << 32) |
+    /// trial)`): any change to the packing or to `derive_seed` silently
+    /// invalidates every stored campaign result, so the values themselves
+    /// are part of the contract.
+    #[test]
+    fn seed_for_values_are_pinned() {
+        let c42 = GridSpec::new(0, 42, vec!["x".into()], vec![0.1; 4], 8);
+        assert_eq!(c42.seed_for(0, 0, 0), 0xBDD7_3226_2FEB_6E95);
+        assert_eq!(c42.seed_for(0, 1, 0), 0x28EF_E333_B266_F103);
+        assert_eq!(c42.seed_for(1, 0, 0), 0xBF98_AC77_734B_EC1D);
+        assert_eq!(c42.seed_for(3, 7, 0), 0xF6B0_5A59_16DB_E2D8);
+        let coffee = GridSpec::new(0, 0xC0_FFEE, vec!["x".into()], vec![0.1; 4], 8);
+        assert_eq!(coffee.seed_for(2, 5, 0), 0x2729_EA8F_744C_8102);
+    }
+
+    #[test]
+    fn per_point_seeds_are_unique_and_stable() {
+        let spec = spec_3x3x4();
+        let mut seeds: Vec<u64> = spec.points().iter().map(|p| p.seed).collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), spec.n_points());
+        assert_eq!(spec.seed_for(1, 2, 1), spec_3x3x4().seed_for(1, 2, 1));
     }
 
     #[test]
@@ -1052,6 +1061,15 @@ mod tests {
         }
     }
 
+    /// Every trial value of a run, in point order.
+    fn flat(results: &GridResults) -> Vec<f64> {
+        results
+            .cells()
+            .iter()
+            .flat_map(|c| c.trials.clone())
+            .collect()
+    }
+
     #[test]
     fn runner_values_are_identical_at_any_shard_width() {
         let spec = spec_3x3x4();
@@ -1059,11 +1077,11 @@ mod tests {
         for cells_per_shard in [1, 2, 3, 9, 100] {
             let runner = GridRunner::new(spec.clone()).with_cells_per_shard(cells_per_shard);
             let got = runner
-                .run_points(&(), |(), p| {
+                .run(&(), |(), p| {
                     Ok::<f64, std::convert::Infallible>(p.seed as f64)
                 })
                 .unwrap();
-            assert_eq!(got, reference, "cells_per_shard={cells_per_shard}");
+            assert_eq!(flat(&got), reference, "cells_per_shard={cells_per_shard}");
         }
     }
 
@@ -1081,7 +1099,7 @@ mod tests {
         let proto = CloneCounter::default();
         let runner = GridRunner::new(spec.clone());
         runner
-            .run_points(&proto, |_, _| Ok::<f64, std::convert::Infallible>(0.0))
+            .run(&proto, |_, _| Ok::<f64, std::convert::Infallible>(0.0))
             .unwrap();
         assert_eq!(
             proto.0.load(Ordering::Relaxed),
@@ -1091,7 +1109,7 @@ mod tests {
         let proto = CloneCounter::default();
         GridRunner::new(spec)
             .with_cells_per_shard(3)
-            .run_points(&proto, |_, _| Ok::<f64, std::convert::Infallible>(0.0))
+            .run(&proto, |_, _| Ok::<f64, std::convert::Infallible>(0.0))
             .unwrap();
         assert_eq!(proto.0.load(Ordering::Relaxed), 3);
     }
@@ -1100,8 +1118,8 @@ mod tests {
     fn sharded_closure_sees_whole_cells_in_order() {
         let spec = spec_3x3x4();
         let runner = GridRunner::new(spec.clone()).with_cells_per_shard(2);
-        let values = runner
-            .run_sharded(&(), |(), shard| {
+        let results = runner
+            .run_grouped(&(), |(), shard| {
                 // Shards hold whole cells: length is a multiple of trials
                 // (except possibly the last ragged shard).
                 assert!(shard.len() % spec.trials == 0 || shard.len() < 2 * spec.trials);
@@ -1115,7 +1133,27 @@ mod tests {
             })
             .unwrap();
         let expected: Vec<f64> = (0..spec.n_points()).map(|i| i as f64).collect();
-        assert_eq!(values, expected);
+        assert_eq!(flat(&results), expected);
+    }
+
+    /// Fig. 10's per-op panel relies on this: a fixed run hands a shard
+    /// of four cells to the closure as one call, so the engine sees all
+    /// of an op's fault maps in a single multi-map pass.
+    #[test]
+    fn four_cell_shards_reach_the_closure_as_one_call() {
+        let spec = GridSpec::new(10, 3, vec!["a".into(), "b".into()], vec![0.1; 4], 3);
+        let calls = std::sync::Mutex::new(Vec::new());
+        GridRunner::new(spec)
+            .with_cells_per_shard(4)
+            .run_grouped(&(), |(), shard| {
+                let techniques: Vec<usize> = shard.iter().map(|p| p.technique_idx).collect();
+                calls.lock().unwrap().push(techniques);
+                Ok::<Vec<f64>, std::convert::Infallible>(vec![0.0; shard.len()])
+            })
+            .unwrap();
+        let mut calls = calls.into_inner().unwrap();
+        calls.sort();
+        assert_eq!(calls, vec![vec![0; 12], vec![1; 12]]);
     }
 
     #[test]
@@ -1123,7 +1161,7 @@ mod tests {
         let spec = spec_3x3x4();
         let runner = GridRunner::new(spec);
         let err = runner
-            .run_points(
+            .run(
                 &(),
                 |(), p| {
                     if p.index >= 8 {

@@ -31,13 +31,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use snn_sim::parallel::parallel_map;
-
 use crate::codec::{u64_json, Json, JsonCodec};
-use crate::grid::{
-    adaptive_cell_lookahead, Aggregate, CellKey, GridPointCtx, GridResults, GridSpec,
-};
-use crate::stats::{Lookahead, StopRule};
+use crate::grid::{Aggregate, CellKey, GridPointCtx, GridResults, GridRunner, GridSpec};
+use crate::stats::{Lookahead, StatsError, StopRule};
 
 /// On-disk checkpoint format version. Bump whenever the cell layout *or
 /// the workspace seed formula* changes — stored seeds are validated
@@ -477,26 +473,7 @@ impl JobHandle {
 
     /// Every cell of the grid, in cell order (technique-major).
     pub fn cell_keys(&self) -> Vec<CellKey> {
-        let mut keys = Vec::with_capacity(self.spec.n_cells());
-        for technique_idx in 0..self.spec.techniques.len() {
-            for rate_idx in 0..self.spec.rates.len() {
-                keys.push(CellKey {
-                    technique_idx,
-                    rate_idx,
-                });
-            }
-        }
-        keys
-    }
-
-    /// The flat-order [`GridPointCtx`]s of one cell (all its trials,
-    /// contiguous by the spec's point order).
-    fn cell_points(&self, key: CellKey) -> Vec<GridPointCtx> {
-        let cell = key.technique_idx * self.spec.rates.len() + key.rate_idx;
-        let first = cell * self.spec.trials;
-        (first..first + self.spec.trials)
-            .map(|i| self.spec.point(i))
-            .collect()
+        self.spec.cell_keys()
     }
 
     /// Loads and validates one cell checkpoint. `Ok(None)` means "no
@@ -612,7 +589,7 @@ impl JobHandle {
     ///
     /// Returns [`ServiceError`] on I/O failure.
     pub fn store_cell(&self, cell: &Aggregate) -> Result<(), ServiceError> {
-        let points = self.cell_points(cell.key);
+        let points = self.spec.cell_points(cell.key);
         // Seeds for exactly the trials that ran: an early-stopped cell
         // stores (and later validates) the seed-stream prefix it
         // consumed, nothing more.
@@ -691,28 +668,21 @@ impl JobHandle {
     /// checkpointing each cell as it lands — then reassembles the full
     /// grid from checkpoints if everything is present.
     ///
-    /// The closure has the same shape as [`crate::grid::GridRunner::
-    /// run_grouped`]'s: it receives one cell's contiguous trial points
-    /// and returns one value per point, so the figure harness's grouped
-    /// evaluation (multi-map batching included) plugs in unchanged.
+    /// The missing cells go through the same cell loop as
+    /// [`GridRunner::run_grouped`] (fixed budget) and
+    /// [`GridRunner::run_adaptive`] (with [`RunOptions::stop_rule`]):
+    /// the closure receives one cell's contiguous trial points and
+    /// returns one value per point, so the figure harness's grouped
+    /// evaluation (multi-map batching included) plugs in unchanged, and
+    /// an adaptive cell keeps literally the trials the in-memory runner
+    /// keeps. The reassembled [`GridResults`] is aggregated by the same
+    /// single pass, so resume is bit-identical, not approximately equal.
     ///
-    /// The reassembled [`GridResults`] is produced by
-    /// [`GridResults::aggregate`] over the checkpointed per-trial values
-    /// — the same single pass an uninterrupted [`GridRunner`]
-    /// (crate::grid::GridRunner) run performs — so resume is
-    /// bit-identical, not approximately equal.
-    ///
-    /// With [`RunOptions::stop_rule`] set, each missing cell is
-    /// evaluated **adaptively**: the closure is handed the rule's
-    /// `min_trials` head of the cell's pinned points first, then groups
-    /// sized by [`RunOptions::lookahead`] until the rule is satisfied,
-    /// truncating each group to the exact first-satisfied prefix
-    /// ([`crate::grid::adaptive_cell_lookahead`] — literally the code
-    /// [`crate::grid::GridRunner::run_adaptive`] runs). The checkpoint
-    /// then records the trials and seeds that were *kept* — speculative
-    /// extras are counted in the cell's waste sidecar
-    /// ([`Self::cell_waste_path`]), never in the checkpoint, so cell
-    /// files stay byte-identical across lookahead policies.
+    /// An adaptive checkpoint records the trials and seeds that were
+    /// *kept* — speculative lookahead extras are counted in the cell's
+    /// waste sidecar ([`Self::cell_waste_path`]), never in the
+    /// checkpoint, so cell files stay byte-identical across lookahead
+    /// policies.
     ///
     /// # Errors
     ///
@@ -730,68 +700,52 @@ impl JobHandle {
         E: Send,
         F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E> + Sync,
     {
-        if let Some(rule) = &opts.stop_rule {
-            rule.validate_against_trials(self.spec.trials)
-                .map_err(|e| ServiceError::SpecMismatch {
-                    detail: e.to_string(),
-                })?;
+        let bad_option = |e: StatsError| ServiceError::SpecMismatch {
+            detail: e.to_string(),
+        };
+        let mut runner = GridRunner::new(self.spec.clone());
+        if let Some(rule) = opts.stop_rule {
+            runner = runner.with_stop_rule(rule).map_err(bad_option)?;
         }
-        let lookahead = opts
-            .lookahead
-            .validated()
-            .map_err(|e| ServiceError::SpecMismatch {
-                detail: e.to_string(),
-            })?;
+        let runner = runner.with_lookahead(opts.lookahead).map_err(bad_option)?;
         let missing = self.missing_cells()?;
         let budget = opts.max_cells.unwrap_or(missing.len()).min(missing.len());
-        let selected = &missing[..budget];
-        let outcomes: Vec<Result<(), RunError<E>>> = parallel_map(selected, |&key| {
-            let points = self.cell_points(key);
-            let mut state = proto.clone();
-            let (values, evaluated) = match &opts.stop_rule {
-                Some(rule) => adaptive_cell_lookahead(&mut state, &points, rule, lookahead, &f)
-                    .map_err(RunError::Eval)?,
-                None => {
-                    let values = f(&mut state, &points).map_err(RunError::Eval)?;
-                    assert_eq!(
-                        values.len(),
-                        points.len(),
-                        "cell closure must return one value per point"
-                    );
-                    let evaluated = values.len();
-                    (values, evaluated)
-                }
-            };
-            let cell = Aggregate::from_trials(
-                key,
-                self.spec.techniques[key.technique_idx].clone(),
-                self.spec.rates[key.rate_idx],
-                self.spec.trials,
-                values,
-            );
-            self.store_cell(&cell)?;
-            // Waste accounting lives in a sidecar, not the checkpoint:
-            // adaptive passes record what they evaluated; fixed passes
-            // remove any stale sidecar from an earlier adaptive attempt
-            // at this cell.
-            match &opts.stop_rule {
-                Some(_) => write_atomic(
-                    &self.cell_waste_path(key),
-                    &Json::obj([("trials_evaluated", Json::Num(evaluated as f64))]).render(),
-                )?,
-                None => {
-                    if let Err(e) = fs::remove_file(self.cell_waste_path(key)) {
-                        if e.kind() != io::ErrorKind::NotFound {
-                            return Err(ServiceError::io(&self.cell_waste_path(key), e).into());
+        let eval =
+            |state: &mut S, points: &[GridPointCtx]| f(state, points).map_err(RunError::Eval);
+        runner.run_cells(
+            &missing[..budget],
+            runner.stop_rule(),
+            proto,
+            &eval,
+            |key, values, evaluated| {
+                self.store_cell(&Aggregate::from_trials(
+                    key,
+                    self.spec.techniques[key.technique_idx].clone(),
+                    self.spec.rates[key.rate_idx],
+                    self.spec.trials,
+                    values.to_vec(),
+                ))?;
+                // Waste accounting lives in a sidecar, not the checkpoint:
+                // adaptive passes record what they evaluated; fixed passes
+                // remove any stale sidecar from an earlier adaptive attempt
+                // at this cell.
+                let waste = self.cell_waste_path(key);
+                match opts.stop_rule {
+                    Some(_) => write_atomic(
+                        &waste,
+                        &Json::obj([("trials_evaluated", Json::Num(evaluated as f64))]).render(),
+                    )?,
+                    None => {
+                        if let Err(e) = fs::remove_file(&waste) {
+                            if e.kind() != io::ErrorKind::NotFound {
+                                return Err(ServiceError::io(&waste, e).into());
+                            }
                         }
                     }
                 }
-            }
-            Ok(())
-        });
-        for outcome in outcomes {
-            outcome?;
-        }
+                Ok(())
+            },
+        )?;
         if budget < missing.len() {
             return Ok(RunOutcome::Interrupted {
                 done: self.spec.n_cells() - (missing.len() - budget),
@@ -854,6 +808,7 @@ fn write_atomic(path: &Path, text: &str) -> Result<(), ServiceError> {
 mod tests {
     use super::*;
     use std::convert::Infallible;
+    use std::sync::Mutex;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -906,6 +861,39 @@ mod tests {
             other => panic!("expected completion, got {other:?}"),
         }
         assert!(job.status().unwrap().is_complete());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A fixed job pass and `GridRunner::run_grouped` share one cell
+    /// loop: the closure sees the same point slices, one per cell.
+    #[test]
+    fn fixed_pass_hands_the_closure_the_same_slices_as_run_grouped() {
+        let root = temp_root("slices");
+        let job = CampaignService::new(&root)
+            .submit("j", spec(), None)
+            .unwrap();
+        let record = |calls: &Mutex<Vec<Vec<usize>>>, points: &[GridPointCtx]| {
+            calls
+                .lock()
+                .unwrap()
+                .push(points.iter().map(|p| p.index).collect());
+            eval(&mut (), points)
+        };
+        let job_calls = Mutex::new(Vec::new());
+        job.run(&(), RunOptions::default(), |_: &mut (), points| {
+            record(&job_calls, points)
+        })
+        .unwrap();
+        let grid_calls = Mutex::new(Vec::new());
+        GridRunner::new(spec())
+            .run_grouped(&(), |_: &mut (), points| record(&grid_calls, points))
+            .unwrap();
+        let mut job_calls = job_calls.into_inner().unwrap();
+        let mut grid_calls = grid_calls.into_inner().unwrap();
+        job_calls.sort();
+        grid_calls.sort();
+        assert_eq!(job_calls, grid_calls);
+        assert_eq!(job_calls.len(), spec().n_cells());
         let _ = fs::remove_dir_all(&root);
     }
 

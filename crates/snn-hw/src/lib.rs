@@ -56,7 +56,6 @@ pub mod error;
 pub mod event;
 pub mod kernels;
 pub mod latency;
-pub mod learning_unit;
 pub mod mapping;
 pub mod neuron_lanes;
 pub mod neuron_unit;

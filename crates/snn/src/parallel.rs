@@ -6,9 +6,8 @@
 //! however many cores the host has. On a single-core host this degrades
 //! gracefully to a sequential loop.
 //!
-//! This lives in `snn-sim` (the workspace's root crate) so both the
-//! campaign runner in `snn-faults` and the experiment harness in
-//! `softsnn-exp` share one implementation.
+//! This lives in `snn-sim` (the workspace's root crate); the grid cell
+//! loop in `snn-faults` is its one caller.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -125,28 +125,11 @@ pub fn run_grid(
 /// `trials` arrays (shorter where the rule fired), and the aggregation
 /// path is the same streaming pass the fixed run uses.
 ///
-/// # Errors
-///
-/// Propagates evaluation errors; rejects rules whose `max_trials` exceed
-/// the profile's trial budget.
-pub fn run_grid_adaptive(
-    bench: &Bench,
-    profile: Profile,
-    rule: snn_faults::stats::StopRule,
-) -> Result<Vec<AccuracyCell>, Box<dyn std::error::Error>> {
-    run_grid_adaptive_lookahead(
-        bench,
-        profile,
-        rule,
-        snn_faults::stats::Lookahead::default(),
-    )
-}
-
-/// [`run_grid_adaptive`] with a speculative [`Lookahead`] policy: trials
-/// past the satisfied-check are evaluated in groups (recovering the
-/// engine's multi-map batching inside the decision loop), then truncated
-/// to the exact first-satisfied prefix — the kept trials, and therefore
-/// the rendered figure, are bit-identical for every policy.
+/// The speculative [`Lookahead`] policy evaluates trials past the
+/// satisfied-check in groups (recovering the engine's multi-map batching
+/// inside the decision loop), then truncates to the exact
+/// first-satisfied prefix — the kept trials, and therefore the rendered
+/// figure, are bit-identical for every policy.
 ///
 /// [`Lookahead`]: snn_faults::stats::Lookahead
 ///
@@ -154,7 +137,7 @@ pub fn run_grid_adaptive(
 ///
 /// Propagates evaluation errors; rejects rules whose `max_trials` exceed
 /// the profile's trial budget and degenerate lookahead sizes.
-pub fn run_grid_adaptive_lookahead(
+pub fn run_grid_adaptive(
     bench: &Bench,
     profile: Profile,
     rule: snn_faults::stats::StopRule,
