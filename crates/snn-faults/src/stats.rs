@@ -459,10 +459,10 @@ impl StopRule {
     }
 }
 
-/// Hard cap on speculative lookahead group sizes — the engine's
-/// multi-map width (`snn_hw::engine::MAX_MAPS`, pinned equal by a root
-/// regression test): wider groups could not batch as one
-/// `run_batch_multi_map` pass, so speculating past it only grows waste.
+/// Hard cap on speculative lookahead group sizes — the engine's chunk
+/// width (`snn_hw::engine::MAX_CHUNK`, pinned equal by a root regression
+/// test): wider groups could not batch as one `run_batch_multi_map`
+/// chunk, so speculating past it only grows waste.
 pub const MAX_LOOKAHEAD: usize = 16;
 
 /// How many trials an adaptive runner evaluates **per closure call**

@@ -9,9 +9,10 @@
 //!
 //! # Hot path
 //!
-//! [`ComputeEngine::step`] and [`ComputeEngine::run_sample_into`] are the
-//! simulation hot path of every fault-injection campaign, and are built to
-//! be allocation-free and autovectorizable:
+//! The engine has one neuron datapath, shared by [`ComputeEngine::step`],
+//! [`ComputeEngine::run_sample_into`], [`ComputeEngine::run_batch_into`]
+//! and [`ComputeEngine::run_batch_multi_map`]. It is built to be
+//! allocation-free and autovectorizable:
 //!
 //! * weight reads go through a kernel resolved once per step or sample
 //!   ([`ResolvedPath`]) — a pure widening add, a branchless
@@ -20,6 +21,10 @@
 //!   accumulate from a cached transformed-crossbar image (rebuilt only
 //!   when the registers or the transform change), so the bounded/LUT
 //!   paths run at direct-add speed;
+//! * the accumulate runs the lane formulation (and, in batched passes,
+//!   the row-block size) the engine's [`crate::kernels::EngineTuning`]
+//!   measured at construction (every choice is bit-identical — see
+//!   [`crate::kernels`]);
 //! * neuron state lives in structure-of-arrays lanes
 //!   ([`crate::neuron_lanes::NeuronLanes`]): a branch-free fused
 //!   integrate→leak→compare kernel covers the fault-free common case,
@@ -28,24 +33,34 @@
 //!   spike guards observe a whole cycle at once
 //!   ([`SpikeGuard::observe_cycle`]) instead of one call per neuron, and
 //!   lateral inhibition and spike counting are driven by the fired mask;
-//! * the `fired` list, inhibition, accumulators, and per-neuron spike
-//!   counters are scratch buffers owned by the engine and reused across
-//!   steps and samples.
+//! * drive planes, word masks, and per-neuron spike counters are scratch
+//!   buffers owned by the engine and reused across steps and samples.
 //!
-//! # Batched samples
+//! # Batched samples and fault maps
 //!
-//! [`ComputeEngine::run_batch_into`] presents many encoded samples in one
-//! pass: per-sample membrane/refractory state lives in sample-major
-//! [`crate::neuron_lanes::BatchLanes`] blocks, the transformed-crossbar
-//! image stays hot across every sample of a timestep, identical
-//! active-row sets are accumulated once and copied, and the accumulate
-//! kernel is row-blocked with the lane formulation and block size the
-//! engine's [`crate::kernels::EngineTuning`] measured at construction
-//! (every choice is bit-identical — see [`crate::kernels`]). Each sample is
-//! evaluated *independently* — state reset first, spike guard cloned from
-//! the caller's prototype — so a batched run is spike-for-spike identical
-//! to per-sample [`run_sample_reference`](ComputeEngine::run_sample_reference)
-//! calls that clone the guard the same way (property-tested).
+//! The lanes hold any number of *blocks*, each a full copy of the neuron
+//! array. One private block step advances one block: fused LIF step,
+//! guard observation, fired words, lateral inhibition. One private chunk
+//! driver runs a chunk of blocks in lockstep: per timestep it writes one
+//! drive plane per sample with the row-blocked accumulate (identical
+//! active-row sets are accumulated once and copied, and the
+//! transformed-crossbar image stays hot across the chunk), then steps
+//! every block against its sample's plane.
+//!
+//! * [`ComputeEngine::step`] and [`ComputeEngine::run_sample_into`] run
+//!   the block step cycle by cycle on the single-sample state: one block
+//!   over the engine's own fault plane.
+//! * [`ComputeEngine::run_batch_into`] chunks B samples × one shared fault
+//!   plane (faults live in the hardware, not in the input).
+//! * [`ComputeEngine::run_batch_multi_map`] chunks one sample × K fault
+//!   planes (the engine's faults ∪ each map's overlay), so K maps cost one
+//!   accumulate plus K neuron passes.
+//!
+//! Each block is evaluated *independently* — state reset first, spike
+//! guard cloned from the caller's prototype — so a batched run is
+//! spike-for-spike identical to per-sample
+//! [`run_sample_reference`](ComputeEngine::run_sample_reference) calls
+//! that clone the guard the same way (property-tested).
 //!
 //! # Campaign-level crossbar-image reuse
 //!
@@ -64,7 +79,7 @@
 use crate::crossbar::Crossbar;
 use crate::error::HwError;
 use crate::kernels::{self, EngineTuning};
-use crate::neuron_lanes::{n_words, BatchLanes, MapLanes, NeuronLanes};
+use crate::neuron_lanes::{n_words, NeuronLanes};
 use crate::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit, OpFaults};
 use crate::params::EngineConfig;
 use snn_sim::quant::QuantizedNetwork;
@@ -326,14 +341,16 @@ pub struct ReadCacheStats {
 /// engine crate cannot name them).
 pub type NeuronFaultOverlay = Vec<(u32, NeuronOp)>;
 
-/// Cap on samples interleaved per batched chunk: bounds the resident
-/// `n_neurons × MAX_BATCH` lane state and drive planes while keeping the
-/// transformed-crossbar image hot across the whole chunk at each
-/// timestep. [`ComputeEngine::run_batch_into`] accepts any number of
-/// samples and chunks internally (the last chunk may be ragged); the
+/// Cap on lane blocks per chunk — samples of a batched pass or fault maps
+/// of a multi-map pass: bounds the resident `n_neurons × MAX_CHUNK` lane
+/// state and drive planes while keeping the transformed-crossbar image
+/// hot across the whole chunk at each timestep.
+/// [`ComputeEngine::run_batch_into`] and
+/// [`ComputeEngine::run_batch_multi_map`] accept any number of samples
+/// and maps and chunk internally (the last chunk may be ragged); the
 /// effective chunk width is the engine's measured
-/// [`EngineTuning::batch_chunk`], clamped to this cap.
-pub const MAX_BATCH: usize = 16;
+/// [`EngineTuning::chunk`], clamped to this cap.
+pub const MAX_CHUNK: usize = 16;
 
 /// Per-sample spike-count planes written by
 /// [`ComputeEngine::run_batch_into`]: `counts(s)` is what
@@ -394,14 +411,6 @@ impl BatchResult {
         &mut self.counts[s * self.n_neurons..(s + 1) * self.n_neurons]
     }
 }
-
-/// Cap on fault maps interleaved per multi-map chunk: bounds the
-/// resident `n_neurons × MAX_MAPS` per-map lane state.
-/// [`ComputeEngine::run_batch_multi_map`] accepts any number of maps and
-/// chunks internally (the last chunk may be ragged); the effective chunk
-/// width is the engine's measured [`EngineTuning::map_chunk`], clamped
-/// to this cap.
-pub const MAX_MAPS: usize = 16;
 
 /// Per-(map, sample) spike-count planes written by
 /// [`ComputeEngine::run_batch_multi_map`]: `counts(m, s)` is what
@@ -531,7 +540,9 @@ pub struct ComputeEngine {
     /// are refreshed from the lanes at the injection boundary
     /// ([`neurons_mut`](Self::neurons_mut)) — see [`StateHome`].
     neurons: Vec<NeuronUnit>,
-    /// SoA hot-path state (see [`crate::neuron_lanes`]).
+    /// SoA hot-path state (see [`crate::neuron_lanes`]): the
+    /// single-sample shape while `state_home` is `Lanes`, any chunk shape
+    /// during and after a batched pass.
     lanes: NeuronLanes,
     state_home: StateHome,
     clean_codes: Vec<u8>,
@@ -574,20 +585,17 @@ pub struct ComputeEngine {
     tuning: EngineTuning,
     // Scratch buffers reused across steps/samples (the hot path never
     // allocates).
+    /// Drive planes, one per sample of the current chunk (`acc[..n]` is
+    /// the single-sample plane).
     acc: Vec<i32>,
     fired: Vec<u32>,
     cmp_words: Vec<u64>,
     spike_words: Vec<u64>,
     allow_words: Vec<u64>,
     fired_words: Vec<u64>,
+    /// Spike counters of the last sample, or of every block of the last
+    /// chunk (block-major).
     counts: Vec<u32>,
-    /// Batched-pass state and drive planes (sized on first
-    /// [`run_batch_into`](Self::run_batch_into) use).
-    batch: BatchLanes,
-    batch_acc: Vec<i32>,
-    /// Multi-map pass state (sized on first
-    /// [`run_batch_multi_map`](Self::run_batch_multi_map) use).
-    map_lanes: MapLanes,
 }
 
 impl ComputeEngine {
@@ -670,9 +678,6 @@ impl ComputeEngine {
             allow_words: vec![0; words],
             fired_words: vec![0; words],
             counts: vec![0; qn.n_neurons],
-            batch: BatchLanes::new(),
-            batch_acc: Vec::new(),
-            map_lanes: MapLanes::new(),
         })
     }
 
@@ -1003,26 +1008,13 @@ impl ComputeEngine {
         path: &ResolvedPath,
         guard: &mut G,
     ) -> &[u32] {
-        self.step_into(active_rows, path, guard);
+        self.accumulate_active_rows(active_rows, path);
+        self.neuron_phase(guard);
         &self.fired
     }
 
-    /// The engine-internal step: accumulate active rows through the
-    /// resolved kernel, advance all neuron lanes, run the guard over the
-    /// comparator bitmask, apply lateral inhibition through the fired
-    /// bitmask. Leaves the fired indices in `self.fired`.
-    fn step_into<G: SpikeGuard>(
-        &mut self,
-        active_rows: &[u32],
-        path: &ResolvedPath,
-        guard: &mut G,
-    ) {
-        self.accumulate_active_rows(active_rows, path);
-        self.neuron_phase(guard);
-    }
-
-    /// Drive phase of one timestep: zeroes the accumulators and
-    /// accumulates `active_rows` through the resolved read path. Shared
+    /// Drive phase of one timestep: writes the single-sample drive plane
+    /// from `active_rows` through the resolved read path. Shared
     /// verbatim between the dense per-step path and the event backend's
     /// delay-free processed cycles, so both drive the very same kernel.
     pub(crate) fn accumulate_active_rows(&mut self, active_rows: &[u32], path: &ResolvedPath) {
@@ -1030,27 +1022,36 @@ impl ComputeEngine {
         // Non-identity kernels accumulate from the transformed-crossbar
         // image at direct-add speed; the image is rebuilt only when the
         // transform or the register contents changed.
-        if !matches!(path.kernel, ReadKernel::Direct) {
-            self.ensure_read_cache(path);
-        }
+        self.ensure_read_cache(path);
+        let n = self.n_neurons;
         let src: &[u8] = match path.kernel {
             ReadKernel::Direct => self.crossbar.codes_slice(),
             ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
         };
-        // The per-step API accumulates row-at-a-time through the tuned
-        // lane formulation (the historical shape, now shared with every
-        // other datapath via `kernels`); row-*blocking* the drive phase
-        // is the batched passes' lever — `run_batch_into` and
-        // `run_batch_multi_map` amortize it across samples/maps, which
-        // is exactly what the `batch_speedup`/`multi_map_speedup`
-        // trajectory metrics measure against this path.
-        self.acc.fill(0);
-        kernels::accumulate_rows(
+        // The per-step path accumulates row-at-a-time through the tuned
+        // lane formulation; row-*blocking* the drive phase is the chunk
+        // driver's lever, which is what the `batch_speedup` and
+        // `multi_map_speedup` metrics measure against this path.
+        self.acc[..n].fill(0);
+        kernels::accumulate_rows(self.tuning.kernel, src, n, active_rows, &mut self.acc[..n]);
+    }
+
+    /// Writes sample `s`'s drive plane of one cycle: the row-blocked
+    /// accumulate of `active_rows` through the resolved read path (whose
+    /// transformed image, if any, the caller made current).
+    fn write_drive(&mut self, path: &ResolvedPath, s: usize, active_rows: &[u32]) {
+        let n = self.n_neurons;
+        let src: &[u8] = match path.kernel {
+            ReadKernel::Direct => self.crossbar.codes_slice(),
+            ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
+        };
+        kernels::write_rows_blocked(
             self.tuning.kernel,
+            self.tuning.row_block,
             src,
-            self.n_neurons,
+            n,
             active_rows,
-            &mut self.acc,
+            &mut self.acc[s * n..(s + 1) * n],
         );
     }
 
@@ -1061,21 +1062,16 @@ impl ComputeEngine {
     /// [`acc_add`](Self::acc_add).
     pub(crate) fn accumulate_image_rows(&mut self, src: &[u8], active_rows: &[u32]) {
         self.ensure_lanes();
-        self.acc.fill(0);
-        kernels::accumulate_rows(
-            self.tuning.kernel,
-            src,
-            self.n_neurons,
-            active_rows,
-            &mut self.acc,
-        );
+        let n = self.n_neurons;
+        self.acc[..n].fill(0);
+        kernels::accumulate_rows(self.tuning.kernel, src, n, active_rows, &mut self.acc[..n]);
     }
 
     /// Adds an externally accumulated drive plane (matured delayed
     /// events) into the current cycle's accumulators. Plain `i32`
     /// addition, so contribution order cannot change results.
     pub(crate) fn acc_add(&mut self, extra: &[i32]) {
-        debug_assert_eq!(extra.len(), self.acc.len());
+        debug_assert_eq!(extra.len(), self.n_neurons);
         for (a, &e) in self.acc.iter_mut().zip(extra) {
             *a += e;
         }
@@ -1087,14 +1083,28 @@ impl ComputeEngine {
     /// cycle (`cmp`, pre-guard) — the event backend's hot-neuron gate.
     pub(crate) fn neuron_phase<G: SpikeGuard>(&mut self, guard: &mut G) -> bool {
         self.ensure_lanes();
+        let cmp_any = self.block_step(0, 0, guard);
+        self.fired.clear();
+        for_each_fired(&self.fired_words, |j| self.fired.push(j as u32));
+        cmp_any
+    }
+
+    /// The one neuron datapath step: lane block `b` integrates sample
+    /// `s`'s drive plane (fused LIF step), `guard` observes the
+    /// comparator words, output spikes land in `fired_words`, and lateral
+    /// inhibition is applied within the block. Returns whether any
+    /// comparator fired this cycle (`cmp`, pre-guard).
+    fn block_step<G: SpikeGuard>(&mut self, b: usize, s: usize, guard: &mut G) -> bool {
+        let n = self.n_neurons;
         self.lanes.step_fused(
-            &self.acc,
+            b,
+            &self.acc[s * n..(s + 1) * n],
             &self.v_thresh,
             &self.hw,
             &mut self.cmp_words,
             &mut self.spike_words,
         );
-        guard.observe_cycle(&self.cmp_words, &mut self.allow_words, self.n_neurons);
+        guard.observe_cycle(&self.cmp_words, &mut self.allow_words, n);
         let mut n_fired = 0_u32;
         let mut cmp_any = 0_u64;
         for ((&cmp, (fired, &spike)), &allow) in self
@@ -1108,19 +1118,66 @@ impl ComputeEngine {
             *fired = f;
             n_fired += f.count_ones();
         }
-        self.fired.clear();
-        for (wi, &fw) in self.fired_words.iter().enumerate() {
-            let mut w = fw;
-            while w != 0 {
-                self.fired.push((wi as u32) * 64 + w.trailing_zeros());
-                w &= w - 1;
-            }
-        }
         if n_fired > 0 && self.hw.v_inh > 0 {
             let total_inh = self.hw.v_inh.saturating_mul(n_fired as i32);
-            self.lanes.inhibit_non_fired(&self.fired_words, total_inh);
+            self.lanes
+                .inhibit_non_fired(b, &self.fired_words, total_inh);
         }
         cmp_any != 0
+    }
+
+    /// The one chunk driver: runs every lane block of the configured
+    /// chunk from rest through `trains` in lockstep, leaving block `b`'s
+    /// spike counts in `counts[b·n..(b+1)·n]`. Block `b` steps sample `b`
+    /// (a batch chunk: `trains.len()` samples × one shared fault plane),
+    /// or — given one train — that sample (a multi-map chunk: one sample ×
+    /// one fault plane per block); `guards[b]` observes block `b`. Per
+    /// timestep every active sample's drive plane is written once, with
+    /// identical active-row sets accumulated once and copied; samples
+    /// past their last timestep sit out the remaining cycles.
+    fn run_chunk<G: SpikeGuard>(
+        &mut self,
+        trains: &[SpikeTrain],
+        path: &ResolvedPath,
+        guards: &mut [G],
+    ) {
+        let n = self.n_neurons;
+        let blocks = guards.len();
+        assert_eq!(self.lanes.blocks(), blocks, "configured lane blocks");
+        assert!(
+            trains.len() == 1 || trains.len() == blocks,
+            "one train per block, or one for all"
+        );
+        self.ensure_read_cache(path);
+        self.lanes.reset_state();
+        self.counts.clear();
+        self.counts.resize(blocks * n, 0);
+        self.acc.resize(trains.len() * n, 0);
+        let t_max = trains.iter().map(SpikeTrain::n_steps).max().unwrap_or(0);
+        for t in 0..t_max {
+            for (s, train) in trains.iter().enumerate() {
+                if t >= train.n_steps() {
+                    continue;
+                }
+                let rows = train.step(t);
+                let shared = trains[..s]
+                    .iter()
+                    .position(|p| t < p.n_steps() && p.step(t) == rows);
+                match shared {
+                    Some(p) => self.acc.copy_within(p * n..(p + 1) * n, s * n),
+                    None => self.write_drive(path, s, rows),
+                }
+            }
+            for (b, guard) in guards.iter_mut().enumerate() {
+                let s = if trains.len() == 1 { 0 } else { b };
+                if t >= trains[s].n_steps() {
+                    continue;
+                }
+                self.block_step(b, s, guard);
+                let counts = &mut self.counts[b * n..(b + 1) * n];
+                for_each_fired(&self.fired_words, |j| counts[j] += 1);
+            }
+        }
     }
 
     /// Output spikes of the last processed cycle (indices into the neuron
@@ -1190,9 +1247,6 @@ impl ComputeEngine {
             allow_words: Vec::new(),
             fired_words: Vec::new(),
             counts: Vec::new(),
-            batch: BatchLanes::new(),
-            batch_acc: Vec::new(),
-            map_lanes: MapLanes::new(),
         }
     }
 
@@ -1207,11 +1261,15 @@ impl ComputeEngine {
         path: &P,
         guard: &mut G,
     ) -> &[u32] {
+        // The per-step loop over the single-sample lanes, not a 1×1
+        // chunk: the chunk driver's row-blocked drive would also speed
+        // this path up, leaving `batch_speedup` nothing to measure.
         self.reset_state();
-        self.counts.fill(0);
+        self.counts.clear();
+        self.counts.resize(self.n_neurons, 0);
         let resolved = ResolvedPath::new(path);
-        for step_idx in 0..train.n_steps() {
-            self.step_into(train.step(step_idx), &resolved, guard);
+        for t in 0..train.n_steps() {
+            self.step_resolved(train.step(t), &resolved, guard);
             for i in 0..self.fired.len() {
                 self.counts[self.fired[i] as usize] += 1;
             }
@@ -1305,7 +1363,7 @@ impl ComputeEngine {
     /// guards, and fault maps). Trains may have ragged lengths; samples
     /// past their last timestep simply sit out the remaining cycles.
     /// Internally the batch is processed in chunks of the engine's tuned
-    /// width (at most [`MAX_BATCH`] samples). Persisted faults apply to
+    /// width (at most [`MAX_CHUNK`] samples). Persisted faults apply to
     /// every sample, per the paper's semantics; the engine's own membrane
     /// state is left reset.
     ///
@@ -1321,18 +1379,22 @@ impl ComputeEngine {
         out: &mut BatchResult,
     ) {
         let resolved = ResolvedPath::new(path);
-        out.reset(self.n_neurons, trains.len());
+        let n = self.n_neurons;
+        out.reset(n, trains.len());
         // Fault flags are authoritative in the architectural units; make
-        // them current once for the whole batch.
+        // them current once for the whole batch. The lanes then take
+        // chunk shapes, so the single-sample state lives in the units.
         self.ensure_units();
-        self.ensure_read_cache(&resolved);
-        let batch_chunk = self.tuning.clamped_batch_chunk();
-        for (chunk_idx, chunk) in trains.chunks(batch_chunk).enumerate() {
-            self.run_batch_chunk(chunk, chunk_idx * batch_chunk, &resolved, guard, out);
+        let width = self.tuning.clamped_chunk();
+        for (chunk_idx, chunk) in trains.chunks(width).enumerate() {
+            self.lanes.configure(&self.neurons, chunk.len(), &[]);
+            let mut guards = vec![guard.clone(); chunk.len()];
+            self.run_chunk(chunk, &resolved, &mut guards);
+            let base = chunk_idx * width * n;
+            out.counts[base..base + self.counts.len()].copy_from_slice(&self.counts);
         }
-        // The batch pass bypasses the single-sample state; leave the
-        // engine at rest in both representations so a later step/sample
-        // starts from a well-defined point.
+        // Leave the engine at rest so a later step/sample starts from a
+        // well-defined point.
         self.reset_state();
     }
 
@@ -1347,102 +1409,6 @@ impl ComputeEngine {
         let mut out = BatchResult::new();
         self.run_batch_into(trains, path, guard, &mut out);
         out
-    }
-
-    /// One ≤ [`MAX_BATCH`] chunk of the batched pass: per timestep, fill
-    /// every active sample's drive plane (sharing the accumulate between
-    /// samples whose active-row sets are identical this cycle), then step
-    /// each sample's lanes, guard, counters, and inhibition.
-    fn run_batch_chunk<G: SpikeGuard + Clone>(
-        &mut self,
-        chunk: &[SpikeTrain],
-        base: usize,
-        path: &ResolvedPath,
-        guard: &G,
-        out: &mut BatchResult,
-    ) {
-        let b = chunk.len();
-        let n = self.n_neurons;
-        let words = n_words(n);
-        self.batch.configure(&self.neurons, b);
-        let mut guards: Vec<G> = (0..b).map(|_| guard.clone()).collect();
-        // The drive planes are taken out of `self` for the duration of the
-        // chunk so the accumulate can borrow the crossbar/image while
-        // holding `&mut` plane slices.
-        let mut acc_plane = std::mem::take(&mut self.batch_acc);
-        acc_plane.clear();
-        acc_plane.resize(b * n, 0);
-        let src: &[u8] = match path.kernel {
-            ReadKernel::Direct => self.crossbar.codes_slice(),
-            // `ensure_read_cache` ran in `run_batch_into`, and nothing in
-            // the chunk loop mutates registers or transform.
-            ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
-        };
-        let t_max = chunk.iter().map(SpikeTrain::n_steps).max().unwrap_or(0);
-        for t in 0..t_max {
-            // Drive phase: one accumulate per *distinct* active-row set
-            // across the batch this cycle; duplicates are copied. The
-            // transformed image rows touched at cycle `t` stay hot across
-            // every sample of the chunk.
-            for s in 0..b {
-                if t >= chunk[s].n_steps() {
-                    continue;
-                }
-                let rows = chunk[s].step(t);
-                let shared = (0..s).find(|&p| t < chunk[p].n_steps() && chunk[p].step(t) == rows);
-                let (done, rest) = acc_plane.split_at_mut(s * n);
-                let acc_s = &mut rest[..n];
-                if let Some(p) = shared {
-                    acc_s.copy_from_slice(&done[p * n..p * n + n]);
-                } else {
-                    kernels::write_rows_blocked(
-                        self.tuning.kernel,
-                        self.tuning.row_block,
-                        src,
-                        n,
-                        rows,
-                        acc_s,
-                    );
-                }
-            }
-            // Neuron phase: fused step + guard + count + inhibition per
-            // active sample, reusing the engine's word scratch buffers.
-            for s in 0..b {
-                if t >= chunk[s].n_steps() {
-                    continue;
-                }
-                let acc_s = &acc_plane[s * n..(s + 1) * n];
-                self.batch.step_fused_sample(
-                    s,
-                    acc_s,
-                    &self.v_thresh,
-                    &self.hw,
-                    &mut self.cmp_words,
-                    &mut self.spike_words,
-                );
-                guards[s].observe_cycle(&self.cmp_words, &mut self.allow_words, n);
-                let mut n_fired = 0_u32;
-                for w in 0..words {
-                    let f = self.spike_words[w] & self.allow_words[w];
-                    self.fired_words[w] = f;
-                    n_fired += f.count_ones();
-                }
-                let counts_s = out.counts_mut(base + s);
-                for (wi, &fw) in self.fired_words.iter().enumerate() {
-                    let mut bits = fw;
-                    while bits != 0 {
-                        counts_s[wi * 64 + bits.trailing_zeros() as usize] += 1;
-                        bits &= bits - 1;
-                    }
-                }
-                if n_fired > 0 && self.hw.v_inh > 0 {
-                    let total_inh = self.hw.v_inh.saturating_mul(n_fired as i32);
-                    self.batch
-                        .inhibit_non_fired_sample(s, &self.fired_words, total_inh);
-                }
-            }
-        }
-        self.batch_acc = acc_plane;
     }
 
     /// Evaluates K neuron-only fault maps of one trial group through a
@@ -1472,9 +1438,8 @@ impl ComputeEngine {
     /// [`run_batch_multi_map_reference`](Self::run_batch_multi_map_reference)
     /// across kernels, guards, vr-burst maps, and ragged map counts).
     /// Maps are processed in chunks of the engine's tuned width (at most
-    /// [`MAX_MAPS`]); the engine's own
-    /// fault state and crossbar are left untouched, and its membrane
-    /// state is left reset.
+    /// [`MAX_CHUNK`]); the engine's own fault state and crossbar are left
+    /// untouched, and its membrane state is left reset.
     ///
     /// # Panics
     ///
@@ -1489,90 +1454,25 @@ impl ComputeEngine {
         out: &mut MultiMapResult,
     ) {
         let resolved = ResolvedPath::new(path);
-        out.reset(self.n_neurons, trains.len(), maps.len());
+        let n = self.n_neurons;
+        out.reset(n, trains.len(), maps.len());
         // Fault flags are authoritative in the architectural units; make
         // them current once so every map chunk overlays the same base.
         self.ensure_units();
-        self.ensure_read_cache(&resolved);
-        let map_chunk = self.tuning.clamped_map_chunk();
-        for (chunk_idx, chunk) in maps.chunks(map_chunk).enumerate() {
-            self.run_multi_map_chunk(trains, chunk, chunk_idx * map_chunk, &resolved, guard, out);
-        }
-        // The multi-map pass bypasses the single-sample state; leave the
-        // engine at rest in both representations.
-        self.reset_state();
-    }
-
-    /// One ≤ [`MAX_MAPS`] chunk of the multi-map pass: per sample, per
-    /// timestep, one accumulate feeds every map's fused step, guard
-    /// observation, spike counting, and inhibition.
-    fn run_multi_map_chunk<G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        chunk: &[NeuronFaultOverlay],
-        base: usize,
-        path: &ResolvedPath,
-        guard: &G,
-        out: &mut MultiMapResult,
-    ) {
-        let k = chunk.len();
-        let n = self.n_neurons;
-        let words = n_words(n);
-        self.map_lanes.configure(&self.neurons, chunk);
-        let src: &[u8] = match path.kernel {
-            ReadKernel::Direct => self.crossbar.codes_slice(),
-            // `ensure_read_cache` ran in `run_batch_multi_map`, and
-            // neuron-only maps never mutate registers or transform.
-            ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
-        };
-        for (s, train) in trains.iter().enumerate() {
-            self.map_lanes.reset_state();
-            let mut guards: Vec<G> = (0..k).map(|_| guard.clone()).collect();
-            for t in 0..train.n_steps() {
-                // Drive phase: one accumulate for the whole map chunk —
-                // the crossbar rows of cycle t are read once, not K times.
-                kernels::write_rows_blocked(
-                    self.tuning.kernel,
-                    self.tuning.row_block,
-                    src,
-                    n,
-                    train.step(t),
-                    &mut self.acc,
-                );
-                // Neuron phase: fused step + guard + count + inhibition
-                // per map, reusing the engine's word scratch buffers.
-                for (m, guard_m) in guards.iter_mut().enumerate() {
-                    self.map_lanes.step_fused_map(
-                        m,
-                        &self.acc,
-                        &self.v_thresh,
-                        &self.hw,
-                        &mut self.cmp_words,
-                        &mut self.spike_words,
-                    );
-                    guard_m.observe_cycle(&self.cmp_words, &mut self.allow_words, n);
-                    let mut n_fired = 0_u32;
-                    for w in 0..words {
-                        let f = self.spike_words[w] & self.allow_words[w];
-                        self.fired_words[w] = f;
-                        n_fired += f.count_ones();
-                    }
-                    let counts_m = out.counts_mut(base + m, s);
-                    for (wi, &fw) in self.fired_words.iter().enumerate() {
-                        let mut bits = fw;
-                        while bits != 0 {
-                            counts_m[wi * 64 + bits.trailing_zeros() as usize] += 1;
-                            bits &= bits - 1;
-                        }
-                    }
-                    if n_fired > 0 && self.hw.v_inh > 0 {
-                        let total_inh = self.hw.v_inh.saturating_mul(n_fired as i32);
-                        self.map_lanes
-                            .inhibit_non_fired_map(m, &self.fired_words, total_inh);
-                    }
+        let width = self.tuning.clamped_chunk();
+        for (chunk_idx, chunk) in maps.chunks(width).enumerate() {
+            self.lanes.configure(&self.neurons, chunk.len(), chunk);
+            for (s, train) in trains.iter().enumerate() {
+                let mut guards = vec![guard.clone(); chunk.len()];
+                self.run_chunk(std::slice::from_ref(train), &resolved, &mut guards);
+                for m in 0..chunk.len() {
+                    out.counts_mut(chunk_idx * width + m, s)
+                        .copy_from_slice(&self.counts[m * n..(m + 1) * n]);
                 }
             }
         }
+        // Leave the engine at rest in both representations.
+        self.reset_state();
     }
 
     /// Reference formulation of
@@ -1674,8 +1574,20 @@ impl ComputeEngine {
     /// read from whichever representation is current.
     pub fn membranes(&self) -> Vec<i32> {
         match self.state_home {
-            StateHome::Lanes => self.lanes.vmem().to_vec(),
+            StateHome::Lanes => self.lanes.vmem(0).to_vec(),
             StateHome::Units => self.neurons.iter().map(|n| n.vmem).collect(),
+        }
+    }
+}
+
+/// Calls `f` with the index of every set bit of `words`, ascending.
+#[inline]
+fn for_each_fired(words: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(wi * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
         }
     }
 }
@@ -2159,22 +2071,22 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_multi_map_chunks_ragged_map_counts() {
-        // MAX_MAPS + 1 maps forces a ragged second chunk.
+    fn run_batch_multi_map_splits_ragged_map_counts() {
+        // MAX_CHUNK + 1 maps forces a ragged second chunk.
         let mut fast = small_engine();
         let mut slow = fast.clone();
         let mut train = SpikeTrain::new(8, 10);
         for t in 0..10_u32 {
             train.push_step((0..8).filter(|r| (t + r) % 2 == 0).collect());
         }
-        let maps: Vec<NeuronFaultOverlay> = (0..MAX_MAPS + 1)
+        let maps: Vec<NeuronFaultOverlay> = (0..MAX_CHUNK + 1)
             .map(|m| vec![((m % 4) as u32, NeuronOp::ALL[m % 4])])
             .collect();
         let mut out = MultiMapResult::new();
         fast.run_batch_multi_map(&[train.clone()], &maps, &DirectRead, &NoGuard, &mut out);
         let reference = slow.run_batch_multi_map_reference(&[train], &maps, &DirectRead, &NoGuard);
         assert_eq!(out, reference);
-        assert_eq!(out.n_maps(), MAX_MAPS + 1);
+        assert_eq!(out.n_maps(), MAX_CHUNK + 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Lane-explicit accumulate kernels and runtime engine tuning.
 //!
 //! The widening `u8 → i32` accumulate over active crossbar rows is the
-//! innermost loop of every engine datapath — the single-sample step, the
-//! batched sample pass, and the multi-map trial pass. This module is the
-//! one place that loop exists: all three call sites in
-//! [`crate::engine::ComputeEngine`] and the per-row kernels of
+//! innermost loop of the engine datapath — the single-sample step, the
+//! batched sample pass, and the multi-map trial pass all write their
+//! drive planes through [`write_rows_blocked`]. This module is the one
+//! place that loop exists: the engine and the per-row kernels of
 //! [`crate::crossbar::Crossbar`] route through it, so the kernels cannot
 //! drift between paths.
 //!
@@ -32,7 +32,7 @@
 //! it). The `u64` packing is exact because both lanes stay non-negative
 //! and below `2^31`, so no carry ever crosses bit 32.
 
-use crate::engine::{MAX_BATCH, MAX_MAPS};
+use crate::engine::MAX_CHUNK;
 use std::time::Instant;
 
 /// Columns per explicit lane chunk of [`AccumKernel::Lanes8`]: eight
@@ -339,23 +339,20 @@ fn accumulate_row_mapped<F: Fn(u8) -> u8>(
 }
 
 /// Per-engine accumulate tuning: which kernel formulation and row-block
-/// size the drive phases use, and how many samples/maps each batched
-/// chunk interleaves. Every choice is bit-identical by construction (see
-/// the module docs) — tuning trades only time, never results — so
-/// engines autotune at construction by default and campaign clones
-/// simply inherit the chosen values.
+/// size the drive phases use, and how many lane blocks (samples or fault
+/// maps) each batched chunk interleaves. Every choice is bit-identical
+/// by construction (see the module docs) — tuning trades only time,
+/// never results — so engines autotune at construction by default and
+/// campaign clones simply inherit the chosen values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineTuning {
     /// Inner-loop formulation for every accumulate call site.
     pub kernel: AccumKernel,
     /// Rows summed per accumulator pass in the blocked drive phases.
     pub row_block: RowBlock,
-    /// Samples interleaved per batched-pass chunk (clamped to
-    /// `1..=MAX_BATCH` at use).
-    pub batch_chunk: usize,
-    /// Maps interleaved per multi-map chunk (clamped to `1..=MAX_MAPS`
-    /// at use).
-    pub map_chunk: usize,
+    /// Lane blocks interleaved per chunk of the batched and multi-map
+    /// passes (clamped to `1..=MAX_CHUNK` at use).
+    pub chunk: usize,
 }
 
 impl EngineTuning {
@@ -367,13 +364,12 @@ impl EngineTuning {
         Self {
             kernel: AccumKernel::Lanes8,
             row_block: RowBlock::R4,
-            batch_chunk: MAX_BATCH,
-            map_chunk: MAX_MAPS,
+            chunk: MAX_CHUNK,
         }
     }
 
     /// Measures the kernel/row-block candidates and the effective chunk
-    /// widths for `MAX_BATCH`/`MAX_MAPS`-sized lane planes on a small
+    /// width for `MAX_CHUNK`-sized lane planes on a small
     /// synthetic workload shaped like a `rows × cols` engine, and
     /// returns the winners. The workload is capped so construction
     /// stays cheap even in debug builds (property tests construct
@@ -413,19 +409,13 @@ impl EngineTuning {
             }
         }
         std::hint::black_box(sink);
-        best.batch_chunk = pick_chunk_width(cols, MAX_BATCH);
-        best.map_chunk = pick_chunk_width(cols, MAX_MAPS);
+        best.chunk = pick_chunk_width(cols);
         best
     }
 
-    /// `batch_chunk` clamped to the engine's supported range.
-    pub fn clamped_batch_chunk(&self) -> usize {
-        self.batch_chunk.clamp(1, MAX_BATCH)
-    }
-
-    /// `map_chunk` clamped to the engine's supported range.
-    pub fn clamped_map_chunk(&self) -> usize {
-        self.map_chunk.clamp(1, MAX_MAPS)
+    /// `chunk` clamped to the engine's supported range.
+    pub fn clamped_chunk(&self) -> usize {
+        self.chunk.clamp(1, MAX_CHUNK)
     }
 }
 
@@ -434,14 +424,14 @@ impl EngineTuning {
 /// cheapest per-element winner — larger widths amortize per-chunk setup,
 /// smaller widths keep the resident planes lean; which wins depends on
 /// the host cache hierarchy, hence measuring instead of guessing.
-fn pick_chunk_width(n: usize, cap: usize) -> usize {
+fn pick_chunk_width(n: usize) -> usize {
     let n = n.clamp(1, 512);
     let drive: Vec<i32> = (0..n).map(|i| (i % 7) as i32).collect();
-    let mut best = cap;
+    let mut best = MAX_CHUNK;
     let mut best_per = f64::INFINITY;
     let mut sink = 0_i32;
     for &width in &[4_usize, 8, 16] {
-        let width = width.min(cap);
+        let width = width.min(MAX_CHUNK);
         let mut plane = vec![1_i32; width * n];
         let t0 = Instant::now();
         for _cycle in 0..4 {
@@ -574,19 +564,20 @@ mod tests {
     fn autotune_returns_in_range_tuning() {
         for (rows, cols) in [(1, 1), (784, 400), (24, 10), (256, 256)] {
             let t = EngineTuning::autotune(rows, cols);
-            assert!((1..=MAX_BATCH).contains(&t.clamped_batch_chunk()));
-            assert!((1..=MAX_MAPS).contains(&t.clamped_map_chunk()));
+            assert!((1..=MAX_CHUNK).contains(&t.clamped_chunk()));
         }
     }
 
     #[test]
     fn clamps_bound_out_of_range_chunks() {
-        let t = EngineTuning {
-            batch_chunk: 0,
-            map_chunk: 900,
-            ..EngineTuning::fixed()
+        let clamped = |chunk| {
+            EngineTuning {
+                chunk,
+                ..EngineTuning::fixed()
+            }
+            .clamped_chunk()
         };
-        assert_eq!(t.clamped_batch_chunk(), 1);
-        assert_eq!(t.clamped_map_chunk(), MAX_MAPS);
+        assert_eq!(clamped(0), 1);
+        assert_eq!(clamped(900), MAX_CHUNK);
     }
 }

@@ -8,42 +8,42 @@
 //! compiler through a per-neuron branch chain (refractory? vi faulty?
 //! vl faulty? …) that defeats vectorization.
 //!
-//! [`NeuronLanes`] keeps the same state as parallel lanes:
+//! [`NeuronLanes`] keeps the same state as parallel lanes, in `blocks`
+//! independent copies of the neuron array:
 //!
-//! * `vmem: Vec<i32>` and `refrac: Vec<u32>` — contiguous per-neuron
-//!   state the fused kernel streams over;
-//! * one `Vec<u64>` bitmask per faulty operation (`vi`/`vl`/`vr`/`sg`),
-//!   bit `j % 64` of word `j / 64` set when neuron `j` has that fault;
-//! * a sparse index list of faulty neurons (`faulty`), rebuilt whenever
-//!   the architectural view is synced in.
+//! * `vmem: Vec<i32>` and `refrac: Vec<u32>` — `blocks × n` contiguous
+//!   per-neuron state, block-major (block `b` owns `[b·n, (b+1)·n)`);
+//! * one bitmask per faulty operation (`vi`/`vl`/`vr`/`sg`), bit `j % 64`
+//!   of word `j / 64` set when neuron `j` has that fault, plus a sparse
+//!   index list of faulty neurons — one such *fault plane* shared by
+//!   every block, or one plane per block.
 //!
-//! [`NeuronLanes::step_fused`] advances all neurons with a branch-free
+//! The two plane layouts are the engine's two batching axes. Samples of a
+//! batch share one plane: faults live in the hardware, not in the input.
+//! The fault maps of a multi-map trial group each get their own plane
+//! (the engine's persisted faults ∪ that map's overlay sites) and see the
+//! same input. The single-sample state is the 1-block, shared-plane shape
+//! ([`new`](NeuronLanes::new)); [`configure`](NeuronLanes::configure)
+//! sets up every other shape.
+//!
+//! [`NeuronLanes::step_fused`] advances one block with a branch-free
 //! integrate→leak→compare→reset kernel assuming the fault-free common
 //! case (selects instead of branches, so the loop autovectorizes), then
 //! re-runs the handful of faulty neurons through the exact
 //! [`NeuronUnit::step`] semantics in a sparse patch pass, overwriting
 //! their lanes and comparator/spike bits. Comparator and spike results
 //! are produced as `u64` bitmask words — the currency of the batched
-//! [`crate::engine::SpikeGuard::observe_cycle`] protocol.
+//! [`crate::engine::SpikeGuard::observe_cycle`] protocol. Every block runs
+//! the same kernels, so a block evolves exactly like a single-sample
+//! engine over the same fault plane (unit-tested below and pinned by
+//! `tests/proptest_engine_equivalence.rs`).
 //!
 //! Synchronization with the architectural view happens at the fault
 //! injection boundary ([`sync_from_units`](NeuronLanes::sync_from_units) /
 //! [`sync_to_units`](NeuronLanes::sync_to_units)), not per step — see
 //! [`crate::engine::ComputeEngine::neurons_mut`].
-//!
-//! # Batched samples
-//!
-//! [`BatchLanes`] extends the same layout across samples: a sample-major
-//! `n_neurons × batch` block of `vmem`/`refrac` lanes (sample `s` owns the
-//! contiguous block `[s·n, (s+1)·n)`) sharing a single plane of op-fault
-//! bitmasks (faults live in the hardware, not in the input, so every
-//! sample of a batch sees the same faulty neurons). The fused, patch, and
-//! inhibition kernels are block-level free functions shared verbatim
-//! between the single-sample and batched paths, so the batched pass is
-//! equivalent to the single-sample pass by construction — and the
-//! cross-path property suite in `tests/proptest_engine_equivalence.rs`
-//! pins it.
 
+use crate::engine::NeuronFaultOverlay;
 use crate::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit, OpFaults};
 
 /// Number of `u64` bitmask words covering `n` neurons.
@@ -53,74 +53,46 @@ pub fn n_words(n: usize) -> usize {
 }
 
 /// One plane of per-operation fault bitmasks plus the sparse faulty-index
-/// list, shared by the single-sample and batched lane layouts.
+/// list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct OpMasks {
-    vi_words: Vec<u64>,
-    vl_words: Vec<u64>,
-    vr_words: Vec<u64>,
-    sg_words: Vec<u64>,
+    /// One bitmask per operation, in [`NeuronOp::ALL`] order.
+    words: [Vec<u64>; 4],
     /// Indices of neurons with at least one op fault, ascending.
     faulty: Vec<u32>,
 }
 
 impl OpMasks {
-    fn with_words(words: usize) -> Self {
-        Self {
-            vi_words: vec![0; words],
-            vl_words: vec![0; words],
-            vr_words: vec![0; words],
-            sg_words: vec![0; words],
-            faulty: Vec::new(),
+    /// Rebuilds the plane from the units' fault flags plus `overlay`'s
+    /// `(neuron, op)` sites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an overlay site's neuron index is out of range.
+    fn import(&mut self, units: &[NeuronUnit], overlay: &[(u32, NeuronOp)]) {
+        let n = units.len();
+        for w in &mut self.words {
+            w.clear();
+            w.resize(n_words(n), 0);
         }
-    }
-
-    /// Rebuilds every mask from the architectural units.
-    fn import(&mut self, units: &[NeuronUnit]) {
-        self.vi_words.fill(0);
-        self.vl_words.fill(0);
-        self.vr_words.fill(0);
-        self.sg_words.fill(0);
-        self.faulty.clear();
         for (j, u) in units.iter().enumerate() {
-            let (w, bit) = (j >> 6, 1_u64 << (j & 63));
-            if u.faults.vi {
-                self.vi_words[w] |= bit;
-            }
-            if u.faults.vl {
-                self.vl_words[w] |= bit;
-            }
-            if u.faults.vr {
-                self.vr_words[w] |= bit;
-            }
-            if u.faults.sg {
-                self.sg_words[w] |= bit;
-            }
-            if u.faults.any() {
-                self.faulty.push(j as u32);
+            for op in NeuronOp::ALL {
+                if u.faults.has(op) {
+                    self.set(j, op);
+                }
             }
         }
-    }
-
-    /// Marks operation `op` of neuron `j` faulty in the bitmask plane
-    /// (the overlay write path of [`MapLanes`]); callers must
-    /// [`rebuild_faulty`](Self::rebuild_faulty) afterwards.
-    fn set(&mut self, j: usize, op: NeuronOp) {
-        let (w, bit) = (j >> 6, 1_u64 << (j & 63));
-        match op {
-            NeuronOp::VmemIncrease => self.vi_words[w] |= bit,
-            NeuronOp::VmemLeak => self.vl_words[w] |= bit,
-            NeuronOp::VmemReset => self.vr_words[w] |= bit,
-            NeuronOp::SpikeGeneration => self.sg_words[w] |= bit,
+        for &(j, op) in overlay {
+            assert!(
+                (j as usize) < n,
+                "map site neuron {j} out of range for {n} lanes"
+            );
+            self.set(j as usize, op);
         }
-    }
-
-    /// Recomputes the sparse faulty-index list from the op bitmask words
-    /// (ascending, one entry per neuron with any fault).
-    fn rebuild_faulty(&mut self) {
         self.faulty.clear();
-        for w in 0..self.vi_words.len() {
-            let mut any = self.vi_words[w] | self.vl_words[w] | self.vr_words[w] | self.sg_words[w];
+        let [vi, vl, vr, sg] = &self.words;
+        for w in 0..vi.len() {
+            let mut any = vi[w] | vl[w] | vr[w] | sg[w];
             while any != 0 {
                 self.faulty.push((w * 64) as u32 + any.trailing_zeros());
                 any &= any - 1;
@@ -128,22 +100,29 @@ impl OpMasks {
         }
     }
 
+    fn set(&mut self, j: usize, op: NeuronOp) {
+        self.words[op as usize][j >> 6] |= 1 << (j & 63);
+    }
+
+    fn has(&self, j: usize, op: NeuronOp) -> bool {
+        self.words[op as usize][j >> 6] >> (j & 63) & 1 != 0
+    }
+
     /// The fault flags of neuron `j`, reassembled from the op bitmasks.
     fn faults_of(&self, j: usize) -> OpFaults {
-        let (w, bit) = (j >> 6, 1_u64 << (j & 63));
         OpFaults {
-            vi: self.vi_words[w] & bit != 0,
-            vl: self.vl_words[w] & bit != 0,
-            vr: self.vr_words[w] & bit != 0,
-            sg: self.sg_words[w] & bit != 0,
+            vi: self.has(j, NeuronOp::VmemIncrease),
+            vl: self.has(j, NeuronOp::VmemLeak),
+            vr: self.has(j, NeuronOp::VmemReset),
+            sg: self.has(j, NeuronOp::SpikeGeneration),
         }
     }
 }
 
 /// The branch-free fused integrate → leak → compare → reset pass over one
 /// contiguous block of lanes, packing comparator/spike bits into words.
-/// Assumes the fault-free case; faulty lanes are corrected afterwards by
-/// [`patch_block`].
+/// Assumes the fault-free case; [`NeuronLanes::step_fused`] corrects the
+/// faulty lanes afterwards.
 fn fused_block(
     vmem: &mut [i32],
     refrac: &mut [u32],
@@ -189,134 +168,122 @@ fn fused_block(
     }
 }
 
-/// Sparse patch pass over one block: replays each faulty neuron through
-/// the exact [`NeuronUnit::step`] semantics from its saved pre-step state
-/// (`scratch` entries are `(index, vmem, refrac)`), overwriting its lanes
-/// and comparator/spike bits.
-#[allow(clippy::too_many_arguments)]
-fn patch_block(
-    vmem: &mut [i32],
-    refrac: &mut [u32],
-    acc: &[i32],
-    v_thresh: &[i32],
-    params: &NeuronHwParams,
-    cmp_words: &mut [u64],
-    spike_words: &mut [u64],
-    masks: &OpMasks,
-    scratch: &[(u32, i32, u32)],
-) {
-    for &(j, vmem0, refrac0) in scratch {
-        let j_us = j as usize;
-        let mut unit = NeuronUnit {
-            vmem: vmem0,
-            refrac: refrac0,
-            faults: masks.faults_of(j_us),
-        };
-        let out = unit.step(acc[j_us] as i64, v_thresh[j_us], params);
-        vmem[j_us] = unit.vmem;
-        refrac[j_us] = unit.refrac;
-        let (w, shift) = (j_us >> 6, j_us & 63);
-        let mask = !(1_u64 << shift);
-        cmp_words[w] = cmp_words[w] & mask | (out.cmp_out as u64) << shift;
-        spike_words[w] = spike_words[w] & mask | (out.spike as u64) << shift;
-    }
-}
-
-/// Saves `(index, vmem, refrac)` snapshots of the faulty lanes into
-/// `scratch` before the vector pass clobbers them.
-fn snapshot_faulty(
-    faulty: &[u32],
-    vmem: &[i32],
-    refrac: &[u32],
-    scratch: &mut Vec<(u32, i32, u32)>,
-) {
-    scratch.clear();
-    for &j in faulty {
-        let j_us = j as usize;
-        scratch.push((j, vmem[j_us], refrac[j_us]));
-    }
-}
-
-/// Applies lateral inhibition `total_inh` to every lane of one block whose
-/// bit in `fired_words` is clear, mirroring [`NeuronUnit::inhibit`]
-/// (floored at 0, skipped while refractory).
-fn inhibit_block(vmem: &mut [i32], refrac: &[u32], fired_words: &[u64], total_inh: i32) {
-    let chunks = vmem.chunks_mut(64).zip(refrac.chunks(64));
-    for (wi, (vm_c, rf_c)) in chunks.enumerate() {
-        let fired = fired_words[wi];
-        for (b, (vm, &r)) in vm_c.iter_mut().zip(rf_c.iter()).enumerate() {
-            let held = (fired >> b) & 1 != 0 || r != 0;
-            let v = (*vm - total_inh).max(0);
-            *vm = if held { *vm } else { v };
-        }
-    }
-}
-
-/// The engine's structure-of-arrays neuron state (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The engine's structure-of-arrays neuron state: `blocks` independent
+/// copies of the neuron array over one shared or per-block fault planes
+/// (see module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NeuronLanes {
     n: usize,
+    blocks: usize,
+    /// `blocks × n` membrane lanes, block-major (block `b` owns
+    /// `vmem[b*n..(b+1)*n]`).
     vmem: Vec<i32>,
     refrac: Vec<u32>,
-    masks: OpMasks,
-    /// Pre-step (vmem, refrac) snapshots of the faulty neurons, reused
-    /// across steps so the patch pass never allocates.
+    /// One fault plane shared by every block, or one plane per block.
+    masks: Vec<OpMasks>,
+    /// Pre-step `(index, vmem, refrac)` snapshots of the faulty neurons,
+    /// reused across steps so the patch pass never allocates.
     patch_scratch: Vec<(u32, i32, u32)>,
 }
 
 impl NeuronLanes {
-    /// Rested, fault-free lanes for `n` neurons.
+    /// Rested, fault-free lanes for `n` neurons: the single-sample
+    /// (1-block, shared-plane) shape.
     pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            vmem: vec![0; n],
-            refrac: vec![0; n],
-            masks: OpMasks::with_words(n_words(n)),
-            patch_scratch: Vec::new(),
-        }
+        let mut lanes = Self::default();
+        lanes.configure(&vec![NeuronUnit::new(); n], 1, &[]);
+        lanes
     }
 
-    /// Number of neurons.
+    /// Number of neurons per block.
     pub fn len(&self) -> usize {
         self.n
     }
 
     /// Whether the lanes hold zero neurons.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.vmem.is_empty()
+    }
+
+    /// Number of lane blocks.
+    pub fn blocks(&self) -> usize {
+        self.blocks
     }
 
     /// Number of bitmask words per op-fault / comparator mask.
     pub fn words(&self) -> usize {
-        self.masks.vi_words.len()
+        n_words(self.n)
     }
 
-    /// Per-neuron membrane potentials.
-    pub fn vmem(&self) -> &[i32] {
-        &self.vmem
+    /// The lane range of block `b`.
+    fn block(&self, b: usize) -> std::ops::Range<usize> {
+        assert!(b < self.blocks, "block index {b} of {}", self.blocks);
+        b * self.n..(b + 1) * self.n
     }
 
-    /// Clears membrane and refractory state (per-sample reset); fault
-    /// masks persist, mirroring [`NeuronUnit::reset_state`].
+    /// Block `b`'s membrane potentials.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b >= blocks`.
+    pub fn vmem(&self, b: usize) -> &[i32] {
+        &self.vmem[self.block(b)]
+    }
+
+    /// Sizes the lanes as `blocks` blocks of `units.len()` neurons, all at
+    /// rest, over the hardware described by `units`. With no `overlays`
+    /// every block shares one fault plane (`units`' faults — a batch of
+    /// samples); otherwise block `b`'s plane is `units`' faults plus
+    /// `overlays[b]`'s `(neuron, op)` sites (a trial group of fault
+    /// maps). Reuses allocations across chunks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `overlays` is non-empty and its length differs from
+    /// `blocks`, or an overlay site's neuron index is out of range.
+    pub fn configure(
+        &mut self,
+        units: &[NeuronUnit],
+        blocks: usize,
+        overlays: &[NeuronFaultOverlay],
+    ) {
+        assert!(
+            overlays.is_empty() || overlays.len() == blocks,
+            "{} overlays for {blocks} blocks",
+            overlays.len()
+        );
+        let n = units.len();
+        self.n = n;
+        self.blocks = blocks;
+        self.vmem.clear();
+        self.vmem.resize(blocks * n, 0);
+        self.refrac.clear();
+        self.refrac.resize(blocks * n, 0);
+        self.masks
+            .resize_with(overlays.len().max(1), OpMasks::default);
+        for (b, masks) in self.masks.iter_mut().enumerate() {
+            masks.import(units, overlays.get(b).map_or(&[], Vec::as_slice));
+        }
+    }
+
+    /// Clears every block's membrane and refractory state (the sample
+    /// boundary); fault planes persist, mirroring
+    /// [`NeuronUnit::reset_state`].
     pub fn reset_state(&mut self) {
         self.vmem.fill(0);
         self.refrac.fill(0);
     }
 
-    /// Imports state *and* fault flags from the architectural view and
-    /// rebuilds the sparse faulty-neuron list. Called once at the fault
-    /// injection boundary, not per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units.len()` differs from the lane count.
+    /// Reshapes to the single-sample shape and imports state *and* fault
+    /// flags from the architectural view, rebuilding the sparse
+    /// faulty-neuron list. Called once at the fault injection boundary,
+    /// not per step.
     pub fn sync_from_units(&mut self, units: &[NeuronUnit]) {
-        assert_eq!(units.len(), self.n, "lane count");
+        self.configure(units, 1, &[]);
         for (j, u) in units.iter().enumerate() {
             self.vmem[j] = u.vmem;
             self.refrac[j] = u.refrac;
         }
-        self.masks.import(units);
     }
 
     /// Exports membrane/refractory state back into the architectural
@@ -325,17 +292,17 @@ impl NeuronLanes {
     ///
     /// # Panics
     ///
-    /// Panics if `units.len()` differs from the lane count.
+    /// Panics unless the lanes are one block of `units.len()` neurons.
     pub fn sync_to_units(&self, units: &mut [NeuronUnit]) {
-        assert_eq!(units.len(), self.n, "lane count");
+        assert_eq!(units.len(), self.vmem.len(), "single-block lane count");
         for (j, u) in units.iter_mut().enumerate() {
             u.vmem = self.vmem[j];
             u.refrac = self.refrac[j];
         }
     }
 
-    /// Advances every neuron one timestep: the fused integrate → leak →
-    /// compare → reset kernel.
+    /// Advances block `b` one timestep: the fused integrate → leak →
+    /// compare → reset kernel against that block's fault plane.
     ///
     /// `acc` is the per-neuron accumulated synaptic drive, `v_thresh` the
     /// per-neuron thresholds. On return, bit `j` of `cmp_words` holds
@@ -351,63 +318,76 @@ impl NeuronLanes {
     ///
     /// # Panics
     ///
-    /// Panics if `acc`/`v_thresh` lengths differ from the lane count or
-    /// the word buffers differ from [`words`](Self::words) (exact length,
-    /// so no caller-supplied word can be left stale).
+    /// Panics if `b >= blocks`, `acc`/`v_thresh` lengths differ from the
+    /// neuron count, or the word buffers differ from
+    /// [`words`](Self::words) (exact length, so no caller-supplied word
+    /// can be left stale).
     pub fn step_fused(
         &mut self,
+        b: usize,
         acc: &[i32],
         v_thresh: &[i32],
         params: &NeuronHwParams,
         cmp_words: &mut [u64],
         spike_words: &mut [u64],
     ) {
+        let lanes = self.block(b);
         assert_eq!(acc.len(), self.n, "drive width");
         assert_eq!(v_thresh.len(), self.n, "threshold width");
         let words = self.words();
         assert_eq!(cmp_words.len(), words, "comparator word width");
         assert_eq!(spike_words.len(), words, "spike word width");
-
-        snapshot_faulty(
-            &self.masks.faulty,
-            &self.vmem,
-            &self.refrac,
-            &mut self.patch_scratch,
+        let vmem = &mut self.vmem[lanes.clone()];
+        let refrac = &mut self.refrac[lanes];
+        let masks = &self.masks[if self.masks.len() == 1 { 0 } else { b }];
+        // Save the faulty lanes' pre-step state before the vector pass
+        // clobbers it.
+        self.patch_scratch.clear();
+        self.patch_scratch.extend(
+            masks
+                .faulty
+                .iter()
+                .map(|&j| (j, vmem[j as usize], refrac[j as usize])),
         );
-        fused_block(
-            &mut self.vmem,
-            &mut self.refrac,
-            acc,
-            v_thresh,
-            params,
-            cmp_words,
-            spike_words,
-        );
-        let scratch = std::mem::take(&mut self.patch_scratch);
-        patch_block(
-            &mut self.vmem,
-            &mut self.refrac,
-            acc,
-            v_thresh,
-            params,
-            cmp_words,
-            spike_words,
-            &self.masks,
-            &scratch,
-        );
-        self.patch_scratch = scratch;
+        fused_block(vmem, refrac, acc, v_thresh, params, cmp_words, spike_words);
+        for &(j, vmem0, refrac0) in &self.patch_scratch {
+            let j = j as usize;
+            let mut unit = NeuronUnit {
+                vmem: vmem0,
+                refrac: refrac0,
+                faults: masks.faults_of(j),
+            };
+            let out = unit.step(acc[j] as i64, v_thresh[j], params);
+            vmem[j] = unit.vmem;
+            refrac[j] = unit.refrac;
+            let (w, shift) = (j >> 6, j & 63);
+            let keep = !(1_u64 << shift);
+            cmp_words[w] = cmp_words[w] & keep | (out.cmp_out as u64) << shift;
+            spike_words[w] = spike_words[w] & keep | (out.spike as u64) << shift;
+        }
     }
 
-    /// Applies lateral inhibition `total_inh` to every neuron whose bit
-    /// in `fired_words` is clear, mirroring [`NeuronUnit::inhibit`]
-    /// (floored at 0, skipped while refractory).
+    /// Applies lateral inhibition `total_inh` to every neuron of block
+    /// `b` whose bit in `fired_words` is clear, mirroring
+    /// [`NeuronUnit::inhibit`] (floored at 0, skipped while refractory).
     ///
     /// # Panics
     ///
-    /// Panics if `fired_words` differs from [`words`](Self::words).
-    pub fn inhibit_non_fired(&mut self, fired_words: &[u64], total_inh: i32) {
+    /// Panics if `b >= blocks` or `fired_words` differs from
+    /// [`words`](Self::words).
+    pub fn inhibit_non_fired(&mut self, b: usize, fired_words: &[u64], total_inh: i32) {
+        let lanes = self.block(b);
         assert_eq!(fired_words.len(), self.words(), "fired word width");
-        inhibit_block(&mut self.vmem, &self.refrac, fired_words, total_inh);
+        let chunks = self.vmem[lanes.clone()]
+            .chunks_mut(64)
+            .zip(self.refrac[lanes].chunks(64));
+        for ((vm_c, rf_c), &fired) in chunks.zip(fired_words) {
+            for (bit, (vm, &r)) in vm_c.iter_mut().zip(rf_c).enumerate() {
+                let held = (fired >> bit) & 1 != 0 || r != 0;
+                let v = (*vm - total_inh).max(0);
+                *vm = if held { *vm } else { v };
+            }
+        }
     }
 
     /// Whether any lane's membrane sits at or above its per-neuron
@@ -417,9 +397,9 @@ impl NeuronLanes {
     ///
     /// # Panics
     ///
-    /// Panics if `v_thresh` length differs from the lane count.
+    /// Panics unless the lanes are one block of `v_thresh.len()` neurons.
     pub fn any_at_or_above(&self, v_thresh: &[i32]) -> bool {
-        assert_eq!(v_thresh.len(), self.n, "threshold width");
+        assert_eq!(v_thresh.len(), self.vmem.len(), "threshold width");
         self.vmem.iter().zip(v_thresh).any(|(&v, &t)| v >= t)
     }
 
@@ -438,326 +418,26 @@ impl NeuronLanes {
     /// drive, no comparator activity); under that contract no spike,
     /// reset, or inhibition could have occurred, so state advance is all
     /// there is to replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the lanes have the single-sample (1-block) shape.
     pub fn advance_silent(&mut self, k: u32, leak: &crate::event::LeakTable) {
+        assert_eq!(self.blocks, 1, "single-sample shape");
         if k == 0 {
             return;
         }
-        for j in 0..self.n {
-            let r = self.refrac[j].min(k);
-            self.refrac[j] -= r;
+        let vl = &self.masks[0].words[NeuronOp::VmemLeak as usize];
+        let lanes = self.vmem.iter_mut().zip(self.refrac.iter_mut());
+        for (j, (vm, rf)) in lanes.enumerate() {
+            let r = (*rf).min(k);
+            *rf -= r;
             let k_leak = k - r;
-            if k_leak == 0 {
+            if k_leak == 0 || vl[j >> 6] >> (j & 63) & 1 != 0 {
                 continue;
             }
-            if self.masks.vl_words[j >> 6] >> (j & 63) & 1 != 0 {
-                continue;
-            }
-            let v = i64::from(self.vmem[j]) - leak.total(k_leak);
-            self.vmem[j] = v.max(0) as i32;
+            *vm = (i64::from(*vm) - leak.total(k_leak)).max(0) as i32;
         }
-    }
-}
-
-/// Sample-major batched lane state: `batch` independent samples' membrane
-/// and refractory lanes over the *same* hardware (one shared plane of
-/// op-fault masks), stepped one sample block at a time through the exact
-/// kernels of [`NeuronLanes`]. See the module docs.
-///
-/// The resident plane width (`batch`) is the engine's tuned chunk width
-/// ([`crate::kernels::EngineTuning::batch_chunk`], measured per host at
-/// engine construction and capped by [`crate::engine::MAX_BATCH`]):
-/// wider planes amortize per-chunk setup, narrower planes keep the
-/// `n × batch` state resident in faster cache levels. Results are
-/// bit-identical for every width — samples are independent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchLanes {
-    n: usize,
-    batch: usize,
-    /// `n × batch` membrane lanes, sample-major (sample `s` owns
-    /// `vmem[s*n..(s+1)*n]`).
-    vmem: Vec<i32>,
-    refrac: Vec<u32>,
-    masks: OpMasks,
-    patch_scratch: Vec<(u32, i32, u32)>,
-}
-
-impl BatchLanes {
-    /// Empty batch lanes; [`configure`](Self::configure) sizes them.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of neurons per sample.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the batch holds zero lanes.
-    pub fn is_empty(&self) -> bool {
-        self.n * self.batch == 0
-    }
-
-    /// Number of samples in the batch.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Number of bitmask words per sample.
-    pub fn words(&self) -> usize {
-        n_words(self.n)
-    }
-
-    /// Sizes the batch for `batch` samples over the hardware described by
-    /// `units`, importing the fault masks and resetting all per-sample
-    /// state (every sample starts from rest, like
-    /// [`NeuronUnit::reset_state`]). Reuses allocations across campaigns.
-    pub fn configure(&mut self, units: &[NeuronUnit], batch: usize) {
-        let n = units.len();
-        self.n = n;
-        self.batch = batch;
-        self.vmem.clear();
-        self.vmem.resize(n * batch, 0);
-        self.refrac.clear();
-        self.refrac.resize(n * batch, 0);
-        let words = n_words(n);
-        self.masks.vi_words.resize(words, 0);
-        self.masks.vl_words.resize(words, 0);
-        self.masks.vr_words.resize(words, 0);
-        self.masks.sg_words.resize(words, 0);
-        self.masks.import(units);
-    }
-
-    /// Sample `s`'s membrane lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= batch`.
-    pub fn vmem_sample(&self, s: usize) -> &[i32] {
-        assert!(s < self.batch, "sample index");
-        &self.vmem[s * self.n..(s + 1) * self.n]
-    }
-
-    /// Advances sample `s` one timestep through the same fused + sparse
-    /// patch kernels as [`NeuronLanes::step_fused`], writing that sample's
-    /// comparator/spike bitmask words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range or any buffer width mismatches.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_fused_sample(
-        &mut self,
-        s: usize,
-        acc: &[i32],
-        v_thresh: &[i32],
-        params: &NeuronHwParams,
-        cmp_words: &mut [u64],
-        spike_words: &mut [u64],
-    ) {
-        assert!(s < self.batch, "sample index");
-        assert_eq!(acc.len(), self.n, "drive width");
-        assert_eq!(v_thresh.len(), self.n, "threshold width");
-        let words = self.words();
-        assert_eq!(cmp_words.len(), words, "comparator word width");
-        assert_eq!(spike_words.len(), words, "spike word width");
-        let vmem = &mut self.vmem[s * self.n..(s + 1) * self.n];
-        let refrac = &mut self.refrac[s * self.n..(s + 1) * self.n];
-        snapshot_faulty(&self.masks.faulty, vmem, refrac, &mut self.patch_scratch);
-        fused_block(vmem, refrac, acc, v_thresh, params, cmp_words, spike_words);
-        patch_block(
-            vmem,
-            refrac,
-            acc,
-            v_thresh,
-            params,
-            cmp_words,
-            spike_words,
-            &self.masks,
-            &self.patch_scratch,
-        );
-    }
-
-    /// Applies lateral inhibition to sample `s` (see
-    /// [`NeuronLanes::inhibit_non_fired`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range or `fired_words` width mismatches.
-    pub fn inhibit_non_fired_sample(&mut self, s: usize, fired_words: &[u64], total_inh: i32) {
-        assert!(s < self.batch, "sample index");
-        assert_eq!(fired_words.len(), self.words(), "fired word width");
-        let vmem = &mut self.vmem[s * self.n..(s + 1) * self.n];
-        let refrac = &self.refrac[s * self.n..(s + 1) * self.n];
-        inhibit_block(vmem, refrac, fired_words, total_inh);
-    }
-}
-
-/// Map-major multi-map lane state: `k` fault-map variants of the *same*
-/// hardware evaluated on the *same* input — per-map membrane/refractory
-/// blocks, each with its **own** plane of op-fault bitmasks (the dual of
-/// [`BatchLanes`], which varies the input and shares one fault plane).
-///
-/// This is the neuron half of the engine's multi-map trial batching
-/// (`ComputeEngine::run_batch_multi_map`): when a trial group's fault maps
-/// touch only neuron operations, the synaptic drive of a cycle is
-/// identical across every map, so the engine accumulates it once and
-/// steps each map's lanes through the shared fused/patch/inhibit kernels.
-///
-/// Map `m`'s fault plane is the engine's persisted fault state *plus*
-/// that map's overlay sites, so a map block evolves exactly like an
-/// engine that had the map injected (property-tested against the per-map
-/// scalar reference).
-///
-/// The resident plane width (`k`) is the engine's tuned chunk width
-/// ([`crate::kernels::EngineTuning::map_chunk`], measured per host at
-/// engine construction and capped by [`crate::engine::MAX_MAPS`]);
-/// as with [`BatchLanes`], every width is bit-identical — maps are
-/// independent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MapLanes {
-    n: usize,
-    k: usize,
-    /// `n × k` membrane lanes, map-major (map `m` owns
-    /// `vmem[m*n..(m+1)*n]`).
-    vmem: Vec<i32>,
-    refrac: Vec<u32>,
-    /// One op-fault bitmask plane per map (base faults ∪ overlay).
-    masks: Vec<OpMasks>,
-    patch_scratch: Vec<(u32, i32, u32)>,
-}
-
-impl MapLanes {
-    /// Empty multi-map lanes; [`configure`](Self::configure) sizes them.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of neurons per map.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the lanes hold zero blocks.
-    pub fn is_empty(&self) -> bool {
-        self.n * self.k == 0
-    }
-
-    /// Number of fault-map variants resident.
-    pub fn n_maps(&self) -> usize {
-        self.k
-    }
-
-    /// Number of bitmask words per map.
-    pub fn words(&self) -> usize {
-        n_words(self.n)
-    }
-
-    /// Sizes the lanes for one map per `overlays` entry over the hardware
-    /// described by `units`: each map's fault plane is `units`' persisted
-    /// faults plus that overlay's `(neuron, op)` sites, and every map
-    /// starts from rest. Reuses allocations across trial groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an overlay site's neuron index is out of range.
-    pub fn configure(&mut self, units: &[NeuronUnit], overlays: &[Vec<(u32, NeuronOp)>]) {
-        let n = units.len();
-        let k = overlays.len();
-        self.n = n;
-        self.k = k;
-        self.vmem.clear();
-        self.vmem.resize(n * k, 0);
-        self.refrac.clear();
-        self.refrac.resize(n * k, 0);
-        let words = n_words(n);
-        self.masks.resize_with(k, || OpMasks::with_words(words));
-        for (mask, overlay) in self.masks.iter_mut().zip(overlays) {
-            mask.vi_words.resize(words, 0);
-            mask.vl_words.resize(words, 0);
-            mask.vr_words.resize(words, 0);
-            mask.sg_words.resize(words, 0);
-            mask.import(units);
-            for &(j, op) in overlay {
-                assert!(
-                    (j as usize) < n,
-                    "map site neuron {j} out of range for {n} lanes"
-                );
-                mask.set(j as usize, op);
-            }
-            mask.rebuild_faulty();
-        }
-    }
-
-    /// Clears every map's membrane and refractory state (the sample
-    /// boundary); fault planes persist.
-    pub fn reset_state(&mut self) {
-        self.vmem.fill(0);
-        self.refrac.fill(0);
-    }
-
-    /// Map `m`'s membrane lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m >= n_maps`.
-    pub fn vmem_map(&self, m: usize) -> &[i32] {
-        assert!(m < self.k, "map index");
-        &self.vmem[m * self.n..(m + 1) * self.n]
-    }
-
-    /// Advances map `m` one timestep through the same fused + sparse
-    /// patch kernels as [`NeuronLanes::step_fused`], against map `m`'s
-    /// fault plane, writing that map's comparator/spike bitmask words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range or any buffer width mismatches.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_fused_map(
-        &mut self,
-        m: usize,
-        acc: &[i32],
-        v_thresh: &[i32],
-        params: &NeuronHwParams,
-        cmp_words: &mut [u64],
-        spike_words: &mut [u64],
-    ) {
-        assert!(m < self.k, "map index");
-        assert_eq!(acc.len(), self.n, "drive width");
-        assert_eq!(v_thresh.len(), self.n, "threshold width");
-        let words = self.words();
-        assert_eq!(cmp_words.len(), words, "comparator word width");
-        assert_eq!(spike_words.len(), words, "spike word width");
-        let vmem = &mut self.vmem[m * self.n..(m + 1) * self.n];
-        let refrac = &mut self.refrac[m * self.n..(m + 1) * self.n];
-        let masks = &self.masks[m];
-        snapshot_faulty(&masks.faulty, vmem, refrac, &mut self.patch_scratch);
-        fused_block(vmem, refrac, acc, v_thresh, params, cmp_words, spike_words);
-        patch_block(
-            vmem,
-            refrac,
-            acc,
-            v_thresh,
-            params,
-            cmp_words,
-            spike_words,
-            masks,
-            &self.patch_scratch,
-        );
-    }
-
-    /// Applies lateral inhibition to map `m` (see
-    /// [`NeuronLanes::inhibit_non_fired`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range or `fired_words` width mismatches.
-    pub fn inhibit_non_fired_map(&mut self, m: usize, fired_words: &[u64], total_inh: i32) {
-        assert!(m < self.k, "map index");
-        assert_eq!(fired_words.len(), self.words(), "fired word width");
-        let vmem = &mut self.vmem[m * self.n..(m + 1) * self.n];
-        let refrac = &self.refrac[m * self.n..(m + 1) * self.n];
-        inhibit_block(vmem, refrac, fired_words, total_inh);
     }
 }
 
@@ -775,6 +455,13 @@ mod tests {
         }
     }
 
+    /// Single-sample lanes over `units`' faults and state.
+    fn single_over(units: &[NeuronUnit]) -> NeuronLanes {
+        let mut lanes = NeuronLanes::new(0);
+        lanes.sync_from_units(units);
+        lanes
+    }
+
     /// Drives `n` architectural units and the lanes side by side through
     /// the same random-ish schedule and asserts identical state and
     /// outputs every step.
@@ -782,14 +469,13 @@ mod tests {
         let p = params();
         let n = units.len();
         let thresholds = vec![500_i32; n];
-        let mut lanes = NeuronLanes::new(n);
-        lanes.sync_from_units(&units);
+        let mut lanes = single_over(&units);
         let words = lanes.words();
         let mut cmp = vec![0_u64; words];
         let mut spk = vec![0_u64; words];
         for t in 0..50 {
             let acc: Vec<i32> = (0..n).map(|j| drives(t, j)).collect();
-            lanes.step_fused(&acc, &thresholds, &p, &mut cmp, &mut spk);
+            lanes.step_fused(0, &acc, &thresholds, &p, &mut cmp, &mut spk);
             for (j, u) in units.iter_mut().enumerate() {
                 let out = u.step(acc[j] as i64, thresholds[j], &p);
                 let (w, b) = (j >> 6, j & 63);
@@ -821,18 +507,16 @@ mod tests {
 
     #[test]
     fn inhibition_matches_units() {
-        let p = params();
         let mut units = vec![NeuronUnit::new(); 66];
         for (j, u) in units.iter_mut().enumerate() {
             u.vmem = (j as i32) * 7;
         }
         units[5].refrac = 1;
-        let mut lanes = NeuronLanes::new(66);
-        lanes.sync_from_units(&units);
+        let mut lanes = single_over(&units);
         let mut fired_words = vec![0_u64; lanes.words()];
         fired_words[0] |= 1 << 2;
         fired_words[1] |= 1 << 1; // neuron 65
-        lanes.inhibit_non_fired(&fired_words, 40);
+        lanes.inhibit_non_fired(0, &fired_words, 40);
         for (j, u) in units.iter_mut().enumerate() {
             if j != 2 && j != 65 {
                 u.inhibit(40);
@@ -841,7 +525,6 @@ mod tests {
         for (j, u) in units.iter().enumerate() {
             assert_eq!(lanes.vmem[j], u.vmem, "j={j}");
         }
-        let _ = p;
     }
 
     #[test]
@@ -850,9 +533,8 @@ mod tests {
         units[4].vmem = 77;
         units[4].refrac = 3;
         units[7].faults.set(NeuronOp::SpikeGeneration);
-        let mut lanes = NeuronLanes::new(10);
-        lanes.sync_from_units(&units);
-        assert_eq!(lanes.masks.faulty, vec![7]);
+        let lanes = single_over(&units);
+        assert_eq!(lanes.masks[0].faulty, vec![7]);
         let mut back = vec![NeuronUnit::new(); 10];
         lanes.sync_to_units(&mut back);
         assert_eq!(back[4].vmem, 77);
@@ -866,93 +548,76 @@ mod tests {
         let mut units = vec![NeuronUnit::new(); 4];
         units[1].faults.set(NeuronOp::VmemReset);
         units[1].vmem = 50;
-        let mut lanes = NeuronLanes::new(4);
-        lanes.sync_from_units(&units);
+        let mut lanes = single_over(&units);
         lanes.reset_state();
-        assert_eq!(lanes.vmem()[1], 0);
-        assert!(lanes.masks.faults_of(1).vr);
-        assert_eq!(lanes.masks.faulty, vec![1]);
+        assert_eq!(lanes.vmem(0)[1], 0);
+        assert!(lanes.masks[0].faults_of(1).vr);
+        assert_eq!(lanes.masks[0].faulty, vec![1]);
     }
 
-    #[test]
-    fn batch_lanes_match_independent_single_lanes() {
-        // Every sample of a batch must evolve exactly like its own
-        // isolated NeuronLanes instance over the same faulty hardware.
+    /// Steps every block of `lanes` next to its own single-sample lanes
+    /// in `singles` (same drive, same inhibition) and asserts identical
+    /// comparator/spike words and membranes every step.
+    fn assert_blocks_match_singles(
+        lanes: &mut NeuronLanes,
+        singles: &mut [NeuronLanes],
+        drive: impl Fn(usize, usize) -> Vec<i32>,
+    ) {
         let p = params();
-        let mut units = vec![NeuronUnit::new(); 70];
-        units[0].faults.set(NeuronOp::VmemReset);
-        units[65].faults.set(NeuronOp::SpikeGeneration);
-        units[69].faults.set(NeuronOp::VmemLeak);
         let thresholds = vec![500_i32; 70];
-        let batch_n = 3;
-        let mut batch = BatchLanes::new();
-        batch.configure(&units, batch_n);
-        assert_eq!(batch.batch(), batch_n);
-        assert_eq!(batch.words(), 2);
-        let mut singles: Vec<NeuronLanes> = (0..batch_n)
-            .map(|_| {
-                let mut l = NeuronLanes::new(70);
-                l.sync_from_units(&units);
-                l
-            })
-            .collect();
-        let mut cmp_b = vec![0_u64; 2];
-        let mut spk_b = vec![0_u64; 2];
-        let mut cmp_s = vec![0_u64; 2];
-        let mut spk_s = vec![0_u64; 2];
+        assert_eq!(lanes.blocks(), singles.len());
+        assert_eq!(lanes.words(), 2);
+        let (mut cmp_b, mut spk_b) = (vec![0_u64; 2], vec![0_u64; 2]);
+        let (mut cmp_s, mut spk_s) = (vec![0_u64; 2], vec![0_u64; 2]);
         for t in 0..40 {
-            for (s, single) in singles.iter_mut().enumerate() {
-                let acc: Vec<i32> = (0..70)
-                    .map(|j| ((t * 131 + j * 37 + s * 71) % 550) as i32)
-                    .collect();
-                batch.step_fused_sample(s, &acc, &thresholds, &p, &mut cmp_b, &mut spk_b);
-                single.step_fused(&acc, &thresholds, &p, &mut cmp_s, &mut spk_s);
-                assert_eq!(cmp_b, cmp_s, "cmp t={t} s={s}");
-                assert_eq!(spk_b, spk_s, "spike t={t} s={s}");
+            for (b, single) in singles.iter_mut().enumerate() {
+                let acc = drive(t, b);
+                lanes.step_fused(b, &acc, &thresholds, &p, &mut cmp_b, &mut spk_b);
+                single.step_fused(0, &acc, &thresholds, &p, &mut cmp_s, &mut spk_s);
+                assert_eq!(cmp_b, cmp_s, "cmp t={t} b={b}");
+                assert_eq!(spk_b, spk_s, "spike t={t} b={b}");
                 // Inhibit off the spike words to also exercise the
-                // per-sample inhibition block.
-                batch.inhibit_non_fired_sample(s, &spk_b, 40);
-                single.inhibit_non_fired(&spk_s, 40);
-                assert_eq!(batch.vmem_sample(s), single.vmem(), "vmem t={t} s={s}");
+                // per-block inhibition.
+                lanes.inhibit_non_fired(b, &spk_b, 40);
+                single.inhibit_non_fired(0, &spk_s, 40);
+                assert_eq!(lanes.vmem(b), single.vmem(0), "vmem t={t} b={b}");
             }
         }
     }
 
     #[test]
-    fn batch_lanes_reconfigure_resets_state() {
-        let units = vec![NeuronUnit::new(); 4];
-        let p = params();
-        let mut batch = BatchLanes::new();
-        batch.configure(&units, 2);
-        let mut cmp = vec![0_u64; 1];
-        let mut spk = vec![0_u64; 1];
-        batch.step_fused_sample(1, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
-        assert!(batch.vmem_sample(1).iter().any(|&v| v > 0));
-        // Reconfiguring (next chunk of a campaign) starts from rest again.
-        batch.configure(&units, 2);
-        assert!(batch.vmem_sample(1).iter().all(|&v| v == 0));
-        assert!(!batch.is_empty());
-        assert_eq!(batch.len(), 4);
-    }
+    fn blocks_match_independent_single_lanes() {
+        // Shared plane (a batch): every sample block must evolve exactly
+        // like its own isolated single-sample lanes over the same faulty
+        // hardware, each under its own drive.
+        let mut units = vec![NeuronUnit::new(); 70];
+        units[0].faults.set(NeuronOp::VmemReset);
+        units[65].faults.set(NeuronOp::SpikeGeneration);
+        units[69].faults.set(NeuronOp::VmemLeak);
+        let mut batch = NeuronLanes::new(0);
+        batch.configure(&units, 3, &[]);
+        assert_eq!(batch.masks.len(), 1);
+        let mut singles: Vec<NeuronLanes> = (0..3).map(|_| single_over(&units)).collect();
+        assert_blocks_match_singles(&mut batch, &mut singles, |t, s| {
+            (0..70)
+                .map(|j| ((t * 131 + j * 37 + s * 71) % 550) as i32)
+                .collect()
+        });
 
-    #[test]
-    fn map_lanes_match_independent_single_lanes_with_union_faults() {
-        // Every map block must evolve exactly like its own NeuronLanes
-        // instance whose units carry the base faults ∪ that map's overlay.
-        let p = params();
+        // Per-block planes (a trial group): every map block must evolve
+        // exactly like single-sample lanes whose units carry the base
+        // faults ∪ that map's overlay, under one shared drive per cycle.
         let mut base_units = vec![NeuronUnit::new(); 70];
         base_units[7].faults.set(NeuronOp::VmemLeak);
         base_units[64].faults.set(NeuronOp::SpikeGeneration);
-        let overlays: Vec<Vec<(u32, NeuronOp)>> = vec![
+        let overlays: Vec<NeuronFaultOverlay> = vec![
             vec![],
             vec![(0, NeuronOp::VmemReset), (69, NeuronOp::VmemReset)],
             vec![(7, NeuronOp::VmemLeak), (65, NeuronOp::VmemIncrease)],
         ];
-        let thresholds = vec![500_i32; 70];
-        let mut maps = MapLanes::new();
-        maps.configure(&base_units, &overlays);
-        assert_eq!(maps.n_maps(), 3);
-        assert_eq!(maps.words(), 2);
+        let mut maps = NeuronLanes::new(0);
+        maps.configure(&base_units, 3, &overlays);
+        assert_eq!(maps.masks.len(), 3);
         let mut singles: Vec<NeuronLanes> = overlays
             .iter()
             .map(|overlay| {
@@ -960,57 +625,55 @@ mod tests {
                 for &(j, op) in overlay {
                     units[j as usize].faults.set(op);
                 }
-                let mut l = NeuronLanes::new(70);
-                l.sync_from_units(&units);
-                l
+                single_over(&units)
             })
             .collect();
-        let mut cmp_m = vec![0_u64; 2];
-        let mut spk_m = vec![0_u64; 2];
-        let mut cmp_s = vec![0_u64; 2];
-        let mut spk_s = vec![0_u64; 2];
-        for t in 0..40 {
-            // One shared drive per cycle — the whole point of the layout.
-            let acc: Vec<i32> = (0..70).map(|j| (t * 131 + j * 37) % 550).collect();
-            for (m, single) in singles.iter_mut().enumerate() {
-                maps.step_fused_map(m, &acc, &thresholds, &p, &mut cmp_m, &mut spk_m);
-                single.step_fused(&acc, &thresholds, &p, &mut cmp_s, &mut spk_s);
-                assert_eq!(cmp_m, cmp_s, "cmp t={t} m={m}");
-                assert_eq!(spk_m, spk_s, "spike t={t} m={m}");
-                maps.inhibit_non_fired_map(m, &spk_m, 40);
-                single.inhibit_non_fired(&spk_s, 40);
-                assert_eq!(maps.vmem_map(m), single.vmem(), "vmem t={t} m={m}");
-            }
-        }
+        assert_blocks_match_singles(&mut maps, &mut singles, |t, _| {
+            (0..70).map(|j| ((t * 131 + j * 37) % 550) as i32).collect()
+        });
     }
 
     #[test]
-    fn map_lanes_reconfigure_resets_state_and_masks() {
+    fn reconfigure_resets_state_and_masks() {
         let units = vec![NeuronUnit::new(); 4];
         let p = params();
-        let mut maps = MapLanes::new();
-        maps.configure(&units, &[vec![(1, NeuronOp::SpikeGeneration)]]);
-        assert_eq!(maps.masks[0].faulty, vec![1]);
-        let mut cmp = vec![0_u64; 1];
-        let mut spk = vec![0_u64; 1];
-        maps.step_fused_map(0, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
-        assert!(maps.vmem_map(0).iter().any(|&v| v > 0));
-        // Reconfiguring (next trial group) starts from rest with fresh
-        // fault planes — the old overlay must not leak into the new maps.
-        maps.configure(&units, &[vec![], vec![(2, NeuronOp::VmemReset)]]);
-        assert_eq!(maps.n_maps(), 2);
-        assert!(maps.vmem_map(0).iter().all(|&v| v == 0));
-        assert!(maps.masks[0].faulty.is_empty());
-        assert_eq!(maps.masks[1].faulty, vec![2]);
+        let (mut cmp, mut spk) = (vec![0_u64; 1], vec![0_u64; 1]);
+        let mut lanes = NeuronLanes::new(0);
+        lanes.configure(&units, 2, &[]);
+        lanes.step_fused(1, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
+        assert!(lanes.vmem(1).iter().any(|&v| v > 0));
+        // Reconfiguring (next chunk of a campaign) starts from rest again.
+        lanes.configure(&units, 2, &[]);
+        assert!(lanes.vmem(1).iter().all(|&v| v == 0));
+        assert!(!lanes.is_empty());
+        assert_eq!(lanes.len(), 4);
+
+        lanes.configure(&units, 1, &[vec![(1, NeuronOp::SpikeGeneration)]]);
+        assert_eq!(lanes.masks[0].faulty, vec![1]);
+        lanes.step_fused(0, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
+        assert!(lanes.vmem(0).iter().any(|&v| v > 0));
+        // The next trial group starts from rest with fresh fault planes —
+        // the old overlay must not leak into the new maps.
+        lanes.configure(&units, 2, &[vec![], vec![(2, NeuronOp::VmemReset)]]);
+        assert_eq!(lanes.blocks(), 2);
+        assert!(lanes.vmem(0).iter().all(|&v| v == 0));
+        assert!(lanes.masks[0].faulty.is_empty());
+        assert_eq!(lanes.masks[1].faulty, vec![2]);
+        // Nor into the single-sample shape: one plane, the units' faults.
+        lanes.sync_from_units(&units);
+        assert_eq!(lanes.blocks(), 1);
+        assert_eq!(lanes.masks.len(), 1);
+        assert!(lanes.masks[0].faulty.is_empty());
     }
 
     #[test]
     fn overlay_duplicates_and_base_overlap_are_idempotent() {
         let mut units = vec![NeuronUnit::new(); 4];
         units[3].faults.set(NeuronOp::VmemReset);
-        let mut maps = MapLanes::new();
+        let mut maps = NeuronLanes::new(0);
         maps.configure(
             &units,
+            1,
             &[vec![
                 (3, NeuronOp::VmemReset),
                 (2, NeuronOp::VmemLeak),
@@ -1026,7 +689,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn overlay_out_of_range_neuron_panics() {
         let units = vec![NeuronUnit::new(); 4];
-        MapLanes::new().configure(&units, &[vec![(9, NeuronOp::VmemReset)]]);
+        NeuronLanes::new(0).configure(&units, 1, &[vec![(9, NeuronOp::VmemReset)]]);
     }
 
     #[test]

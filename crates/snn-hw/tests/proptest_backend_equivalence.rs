@@ -314,7 +314,8 @@ proptest! {
         prop_assert_eq!(&healed_b, &clean_b, "event heal incomplete");
     }
 
-    /// The lazy-leak fold: `NeuronLanes::advance_silent(k)` must equal k
+    /// The lazy-leak fold: `NeuronLanes::advance_silent(k)` on the
+    /// single-sample (1-block) shape must equal k
     /// sequential zero-drive fused steps, across random membranes,
     /// refractory counters, and vl-faulty lanes. Thresholds are held
     /// unreachably high, matching the caller's contract (silent cycles
@@ -358,10 +359,10 @@ proptest! {
         let mut cmp = vec![0_u64; words];
         let mut spk = vec![0_u64; words];
         for _ in 0..k {
-            sequential.step_fused(&zero_acc, &v_thresh, &params, &mut cmp, &mut spk);
+            sequential.step_fused(0, &zero_acc, &v_thresh, &params, &mut cmp, &mut spk);
             prop_assert!(cmp.iter().all(|&w| w == 0), "comparator fired on a silent step");
         }
-        prop_assert_eq!(lazy.vmem(), sequential.vmem(), "lazy leak diverged from sequential");
+        prop_assert_eq!(lazy.vmem(0), sequential.vmem(0), "lazy leak diverged from sequential");
     }
 
     /// `LeakTable::total(k)` is exactly `k · v_leak` both inside the

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 use snn_hw::engine::{
     ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard, SpikeGuard,
-    WeightReadPath, MAX_BATCH, MAX_MAPS,
+    WeightReadPath, MAX_CHUNK,
 };
 use snn_hw::kernels::{AccumKernel, EngineTuning, RowBlock};
 use snn_hw::neuron_unit::NeuronOp;
@@ -108,7 +108,7 @@ fn random_faulted_engine(
 }
 
 /// An arbitrary `EngineTuning` drawn from `seed` — every kernel/block
-/// pair and chunk widths across (and past) the clamp range. The batched
+/// pair and a chunk width across (and past) the clamp range. The batched
 /// properties force the fast engine onto one of these, so equivalence
 /// holds under *any* tuning an autotune pass could pick, not just the
 /// one this host measured.
@@ -117,15 +117,16 @@ fn random_tuning(seed: u64) -> EngineTuning {
     EngineTuning {
         kernel: AccumKernel::ALL[rng.gen_range(0_usize..3)],
         row_block: RowBlock::ALL[rng.gen_range(0_usize..3)],
-        batch_chunk: rng.gen_range(0..2 * MAX_BATCH),
-        map_chunk: rng.gen_range(0..2 * MAX_MAPS),
+        chunk: rng.gen_range(0..2 * MAX_CHUNK),
     }
 }
 
 /// Asserts `run_batch_into` over `trains` matches, sample for sample, the
 /// per-sample reference (`run_sample_reference` from rest with a fresh
 /// guard clone per sample — the batched pass's documented contract) *and*
-/// the optimized single-sample path under the same cloning discipline.
+/// the optimized single-sample path under the same cloning discipline —
+/// run on the batched engine itself afterwards, so a pass that leaked
+/// block state or fault planes into the single-sample lanes diverges.
 fn assert_batch_matches_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
     fast: &mut ComputeEngine,
     slow: &mut ComputeEngine,
@@ -149,6 +150,12 @@ fn assert_batch_matches_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
             optimized, reference,
             "{label}: sample {s} single-sample cross-check"
         );
+        let after_pass = fast.run_sample_into(train, path, &mut guard.clone());
+        assert_eq!(
+            after_pass,
+            reference.as_slice(),
+            "{label}: sample {s} single-sample run after the batched pass"
+        );
     }
 }
 
@@ -157,7 +164,9 @@ fn assert_batch_matches_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
 /// (`run_batch_multi_map_reference`) *and* a hand-rolled per-map loop that
 /// injects each overlay into a fresh engine clone and runs the optimized
 /// single-sample path — so the multi-map pass is pinned against both
-/// formulations at once.
+/// formulations at once. Afterwards the multi-map engine's own
+/// single-sample path must still match the reference: no map's overlay
+/// may leak into later `run_sample` calls.
 fn assert_multi_map_matches_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
     fast: &mut ComputeEngine,
     slow: &mut ComputeEngine,
@@ -186,6 +195,15 @@ fn assert_multi_map_matches_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
                 "{label}: map {m} sample {s} single-sample cross-check"
             );
         }
+    }
+    for (s, train) in trains.iter().enumerate() {
+        let reference = slow.run_sample_reference(train, path, &mut guard.clone());
+        let after_pass = fast.run_sample_into(train, path, &mut guard.clone());
+        assert_eq!(
+            after_pass,
+            reference.as_slice(),
+            "{label}: sample {s} single-sample run after the multi-map pass"
+        );
     }
 }
 
@@ -530,8 +548,8 @@ proptest! {
 /// sample, a pair, exactly one chunk, one over a chunk (ragged tail of 1),
 /// and two chunks plus a tail.
 #[test]
-fn run_batch_chunk_boundaries_match_reference() {
-    for &batch in &[1_usize, 2, MAX_BATCH, MAX_BATCH + 1, 2 * MAX_BATCH + 3] {
+fn run_batch_at_chunk_boundaries_matches_reference() {
+    for &batch in &[1_usize, 2, MAX_CHUNK, MAX_CHUNK + 1, 2 * MAX_CHUNK + 3] {
         let mut fast = random_faulted_engine(24, 10, 0xfeed, 0xbeef, 20, 2);
         fast.neurons_mut()[3].faults.set(NeuronOp::VmemReset);
         let mut slow = fast.clone();
@@ -594,8 +612,8 @@ fn run_batch_word_straddling_engine_matches_reference() {
 /// of 1), and two chunks plus a tail — each against the scalar oracle
 /// under the full BnP shape (bounded path + reset monitor + vr bursts).
 #[test]
-fn run_batch_multi_map_chunk_boundaries_match_reference() {
-    for &k in &[1_usize, 2, MAX_MAPS, MAX_MAPS + 1, 2 * MAX_MAPS + 3] {
+fn run_batch_multi_map_at_chunk_boundaries_matches_reference() {
+    for &k in &[1_usize, 2, MAX_CHUNK, MAX_CHUNK + 1, 2 * MAX_CHUNK + 3] {
         let mut fast = random_faulted_engine(24, 10, 0xfeed, 0xbeef, 15, 1);
         let mut slow = fast.clone();
         let maps: Vec<NeuronFaultOverlay> = (0..k)

@@ -16,10 +16,11 @@
 //!    `Vmem ≥ Vth` comparator and disables spike generation once it has
 //!    been true for ≥ 2 consecutive cycles (the faulty-`Vmem reset`
 //!    signature), until parameter replacement.
-//! 3. **Lightweight hardware support** ([`enhanced`], [`hardening`]) —
+//! 3. **Lightweight hardware support** ([`enhanced`]) —
 //!    radiation-hardened comparator+mux per synapse, shared threshold /
 //!    default registers, and per-neuron protection logic, priced through
-//!    the `snn-hw` cost models (area 1.14× / 1.18×, energy ≈1.3× / 1.56×,
+//!    the `snn-hw` cost models (hardening factors in
+//!    `snn_hw::components`; area 1.14× / 1.18×, energy ≈1.3× / 1.56×,
 //!    clock ≈1.0× / 1.06× — paper Fig. 14).
 //!
 //! [`mitigation`] defines the comparison set of the paper's evaluation
@@ -52,7 +53,6 @@ pub mod bounding;
 pub mod conventional;
 pub mod enhanced;
 pub mod fingerprint;
-pub mod hardening;
 pub mod methodology;
 pub mod mitigation;
 pub mod overhead;
