@@ -586,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn blocks_match_independent_single_lanes() {
+    fn batch_lanes_match_independent_single_lanes() {
         // Shared plane (a batch): every sample block must evolve exactly
         // like its own isolated single-sample lanes over the same faulty
         // hardware, each under its own drive.
@@ -603,7 +603,26 @@ mod tests {
                 .map(|j| ((t * 131 + j * 37 + s * 71) % 550) as i32)
                 .collect()
         });
+    }
 
+    #[test]
+    fn batch_lanes_reconfigure_resets_state() {
+        let units = vec![NeuronUnit::new(); 4];
+        let p = params();
+        let (mut cmp, mut spk) = (vec![0_u64; 1], vec![0_u64; 1]);
+        let mut lanes = NeuronLanes::new(0);
+        lanes.configure(&units, 2, &[]);
+        lanes.step_fused(1, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
+        assert!(lanes.vmem(1).iter().any(|&v| v > 0));
+        // Reconfiguring (next chunk of a campaign) starts from rest again.
+        lanes.configure(&units, 2, &[]);
+        assert!(lanes.vmem(1).iter().all(|&v| v == 0));
+        assert!(!lanes.is_empty());
+        assert_eq!(lanes.len(), 4);
+    }
+
+    #[test]
+    fn map_lanes_match_independent_single_lanes_with_union_faults() {
         // Per-block planes (a trial group): every map block must evolve
         // exactly like single-sample lanes whose units carry the base
         // faults ∪ that map's overlay, under one shared drive per cycle.
@@ -634,20 +653,11 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_resets_state_and_masks() {
+    fn map_lanes_reconfigure_resets_state_and_masks() {
         let units = vec![NeuronUnit::new(); 4];
         let p = params();
         let (mut cmp, mut spk) = (vec![0_u64; 1], vec![0_u64; 1]);
         let mut lanes = NeuronLanes::new(0);
-        lanes.configure(&units, 2, &[]);
-        lanes.step_fused(1, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
-        assert!(lanes.vmem(1).iter().any(|&v| v > 0));
-        // Reconfiguring (next chunk of a campaign) starts from rest again.
-        lanes.configure(&units, 2, &[]);
-        assert!(lanes.vmem(1).iter().all(|&v| v == 0));
-        assert!(!lanes.is_empty());
-        assert_eq!(lanes.len(), 4);
-
         lanes.configure(&units, 1, &[vec![(1, NeuronOp::SpikeGeneration)]]);
         assert_eq!(lanes.masks[0].faulty, vec![1]);
         lanes.step_fused(0, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
