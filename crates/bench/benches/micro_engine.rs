@@ -16,13 +16,20 @@
 //! `monitored_speedup_vs_reference` for the JSON perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use snn_faults::fault_map::FaultMap;
 use snn_faults::grid::{GridRunner, GridSpec};
+use snn_faults::injector::inject;
 use snn_faults::location::FaultDomain;
 use snn_faults::stats::{Lookahead, StopRule};
 use snn_hw::engine::{BatchResult, DirectRead, NoGuard, SpikeGuard, WeightReadPath};
+use snn_sim::eval::EvalResult;
+use snn_sim::rng::derive_seed;
 use softsnn_bench::fixture;
 use softsnn_core::bounding::{BnpVariant, BoundedRead};
-use softsnn_core::mitigation::Technique;
+use softsnn_core::methodology::{
+    EncodedTestSet, FaultScenario, SoftSnnDeployment, DEFAULT_REEXEC_EXPOSURE,
+};
+use softsnn_core::mitigation::{majority_vote, Technique};
 use softsnn_core::protection::ResetMonitor;
 use softsnn_exp::fig13::{evaluate_shard, evaluate_shard_in_domain};
 use std::hint::black_box;
@@ -588,6 +595,96 @@ fn bench_campaign_adaptive(c: &mut Criterion) {
     c.add_metric("adaptive_lookahead_waste", waste as f64);
 }
 
+/// The re-execution fixture group: three trials of one neuron-only
+/// cell. At rate 0.08 × the default exposure every execution map of the
+/// N64 deployment strikes one neuron operation, so each sample's nine
+/// executions are nine distinct overlays over one shared drive.
+fn reexec_group() -> Vec<FaultScenario> {
+    (0..3)
+        .map(|t| FaultScenario {
+            domain: FaultDomain::Neurons(None),
+            rate: 0.08,
+            seed: 0x5EED + t,
+        })
+        .collect()
+}
+
+/// Re-execution as one execution at a time, through public API only:
+/// heal, draw the execution's map, inject it, run the sample, and
+/// majority-vote each sample's predictions.
+fn reexec_per_execution(
+    d: &mut SoftSnnDeployment,
+    runs: u32,
+    scenarios: &[FaultScenario],
+    set: &EncodedTestSet,
+) -> Vec<EvalResult> {
+    let (n_inputs, n_neurons) = (d.quantized().n_inputs, d.quantized().n_neurons);
+    let assignment = d.assignment().clone();
+    scenarios
+        .iter()
+        .map(|scenario| {
+            let space = scenario.space(n_inputs, n_neurons);
+            let rate = scenario.rate * DEFAULT_REEXEC_EXPOSURE;
+            let mut result = EvalResult::new(assignment.n_classes());
+            for (s, (train, &label)) in set.trains().iter().zip(set.labels()).enumerate() {
+                let votes: Vec<Option<usize>> = (0..runs)
+                    .map(|k| {
+                        let seed =
+                            derive_seed(scenario.seed, (s as u64) * u64::from(runs) + u64::from(k));
+                        let map = FaultMap::generate(&space, rate, seed);
+                        let engine = d.engine_mut();
+                        engine.reload_parameters(&mut NoGuard);
+                        inject(engine, &map).expect("map fits the engine");
+                        let counts = engine.run_sample_into(train, &DirectRead, &mut NoGuard);
+                        assignment.predict(counts)
+                    })
+                    .collect();
+                result.record(majority_vote(&votes), label);
+            }
+            result
+        })
+        .collect()
+}
+
+fn bench_campaign_reexec(c: &mut Criterion) {
+    // One re-execution trial group through the deployment (per sample:
+    // one multi-map pass over the distinct execution maps) vs the
+    // per-execution loop it replaces, on the same N64 bench deployment,
+    // test set and seed stream. The results are checked equal first, so
+    // the ratio is pure shared-drive and heal savings.
+    let f = fixture();
+    let set = f
+        .deployment
+        .encode_test_set(f.test.images(), f.test.labels(), 21)
+        .expect("encode bench test set");
+    let scenarios = reexec_group();
+    let technique = Technique::ReExecution { runs: 3 };
+    let mut d = f.deployment.clone();
+    assert_eq!(
+        d.evaluate_encoded_group(technique, &scenarios, &set)
+            .expect("re-execution group"),
+        reexec_per_execution(&mut d, 3, &scenarios, &set),
+        "re-execution group diverged from the per-execution loop"
+    );
+
+    let mut group = c.benchmark_group("campaign_reexec");
+    group.sample_size(10);
+    group.bench_function("group", |b| {
+        let mut d = f.deployment.clone();
+        b.iter(|| {
+            let results = d
+                .evaluate_encoded_group(technique, &scenarios, &set)
+                .expect("re-execution group");
+            black_box(results[0].correct)
+        });
+    });
+    group.bench_function("per_execution", |b| {
+        let mut d = f.deployment.clone();
+        b.iter(|| black_box(reexec_per_execution(&mut d, 3, &scenarios, &set)[0].correct));
+    });
+    group.finish();
+}
+
 fn emit_derived_metrics(c: &mut Criterion) {
     // Derived metrics for the BENCH_engine.json trajectory: guard cost
     // isolated on the same read path (monitored / unmonitored BnP3, so a
@@ -670,6 +767,16 @@ fn emit_derived_metrics(c: &mut Criterion) {
             c.add_metric("adaptive_batch_speedup", seq / lookahead);
         }
     }
+    // Re-execution headline: one neuron-only 3-trial re-execution group
+    // through the deployment vs the per-execution heal/inject/run loop
+    // on the identical deployment, test set and seed stream.
+    let group = c.ns_per_iter("campaign_reexec", "group");
+    let per_execution = c.ns_per_iter("campaign_reexec", "per_execution");
+    if let (Some(group), Some(per_execution)) = (group, per_execution) {
+        if group > 0.0 {
+            c.add_metric("reexec_speedup", per_execution / group);
+        }
+    }
 }
 
 criterion_group!(
@@ -682,6 +789,7 @@ criterion_group!(
     bench_engine_accumulate,
     bench_engine_sparse,
     bench_campaign_adaptive,
+    bench_campaign_reexec,
     emit_derived_metrics
 );
 criterion_main!(benches);

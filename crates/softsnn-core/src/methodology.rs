@@ -108,6 +108,45 @@ impl FaultScenario {
 /// accuracy stays near-clean at every rate, at 3× latency/energy cost.
 pub const DEFAULT_REEXEC_EXPOSURE: f64 = 0.05;
 
+/// The shape check every image-taking entry point makes: one label per
+/// image.
+fn check_labels(images: &[Vec<f32>], labels: &[usize]) -> Result<(), MethodologyError> {
+    if images.len() == labels.len() {
+        Ok(())
+    } else {
+        Err(SnnError::ShapeMismatch {
+            expected: images.len(),
+            actual: labels.len(),
+            what: "labels",
+        }
+        .into())
+    }
+}
+
+/// `map`'s sites as an engine neuron overlay, or `None` if it strikes a
+/// weight bit (a multi-map pass shares one crossbar, so it cannot carry
+/// one).
+fn neuron_overlay(map: &FaultMap) -> Option<NeuronFaultOverlay> {
+    map.sites()
+        .iter()
+        .map(|site| match *site {
+            FaultSite::NeuronOp { neuron, op } => Some((neuron, op)),
+            FaultSite::WeightBit { .. } => None,
+        })
+        .collect()
+}
+
+/// `overlay`'s index in `distinct`, appending it first if it is new.
+fn slot_of(distinct: &mut Vec<NeuronFaultOverlay>, overlay: NeuronFaultOverlay) -> usize {
+    distinct
+        .iter()
+        .position(|d| *d == overlay)
+        .unwrap_or_else(|| {
+            distinct.push(overlay);
+            distinct.len() - 1
+        })
+}
+
 /// A labeled test set encoded into spike trains once, up front.
 ///
 /// Campaign grids evaluate the same test set under many (technique, rate,
@@ -147,14 +186,7 @@ impl EncodedTestSet {
         base_seed: u64,
     ) -> Result<Self, MethodologyError> {
         ENCODE_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if images.len() != labels.len() {
-            return Err(SnnError::ShapeMismatch {
-                expected: images.len(),
-                actual: labels.len(),
-                what: "labels",
-            }
-            .into());
-        }
+        check_labels(images, labels)?;
         let encoder = PoissonEncoder::new(qn.max_rate);
         let trains = images
             .iter()
@@ -475,8 +507,9 @@ impl SoftSnnDeployment {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches or if the scenario's fault
-    /// space does not fit the engine.
+    /// Returns an error on shape mismatches (including `images` and
+    /// `labels` of different lengths) or if the scenario's fault space
+    /// does not fit the engine.
     pub fn evaluate_custom_bnp(
         &mut self,
         bounding: BoundingConfig,
@@ -486,6 +519,7 @@ impl SoftSnnDeployment {
         labels: &[usize],
         rng: &mut Rng,
     ) -> Result<EvalResult, MethodologyError> {
+        check_labels(images, labels)?;
         let encoder = PoissonEncoder::new(self.qn.max_rate);
         let timesteps = self.qn.timesteps;
         let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
@@ -536,10 +570,14 @@ impl SoftSnnDeployment {
     ///   clone (samples are independent under the batched engine pass, so
     ///   a sample's outcome does not depend on its position in the set).
     /// * **Re-execution ×k**: every sample is executed `k` times; each
-    ///   execution reloads parameters (healing persisted faults) and
-    ///   draws a *fresh* fault map at the same rate (transient strikes
-    ///   are independent across executions); the predictions are
-    ///   majority-voted.
+    ///   execution starts from reloaded parameters (healing persisted
+    ///   faults) and draws a *fresh* fault map at the same rate
+    ///   (transient strikes are independent across executions); the
+    ///   predictions are majority-voted. When a sample's execution maps
+    ///   strike only neuron operations, its distinct maps share one
+    ///   multi-map drive pass and identical executions run once (see
+    ///   [`evaluate_encoded_group`](Self::evaluate_encoded_group)); the
+    ///   result is the same as running every execution on its own.
     ///
     /// # Errors
     ///
@@ -553,14 +591,7 @@ impl SoftSnnDeployment {
         labels: &[usize],
         rng: &mut Rng,
     ) -> Result<EvalResult, MethodologyError> {
-        if images.len() != labels.len() {
-            return Err(SnnError::ShapeMismatch {
-                expected: images.len(),
-                actual: labels.len(),
-                what: "labels",
-            }
-            .into());
-        }
+        check_labels(images, labels)?;
         // Encoding is the only RNG consumer in the evaluation loop, so
         // encoding every sample up front (in sample order, from the same
         // stream) is bit-identical to the historical interleaved form —
@@ -615,9 +646,16 @@ impl SoftSnnDeployment {
     /// all K maps instead of once per map — weight reads are identical
     /// when maps don't touch the crossbar, so sharing the drive phase is
     /// exact, and the equivalence is property-tested at the engine layer.
-    /// Any group containing a weight-bit site (or a re-execution
-    /// technique, whose per-execution maps defeat sharing) falls back to
-    /// the per-scenario loop.
+    /// Any group containing a weight-bit site falls back to the
+    /// per-scenario loop.
+    ///
+    /// Re-execution groups share work per sample instead: every
+    /// execution of every scenario draws its own map, and a sample whose
+    /// K × `runs` execution maps are all neuron-only runs its *distinct*
+    /// maps through one multi-map pass, so identical executions (clean
+    /// scenarios, zero exposure, or a fault count that rounds to zero
+    /// all give the empty map) run once. Samples whose maps strike a
+    /// weight bit run execution by execution.
     ///
     /// # Errors
     ///
@@ -629,21 +667,19 @@ impl SoftSnnDeployment {
         scenarios: &[FaultScenario],
         set: &EncodedTestSet,
     ) -> Result<Vec<EvalResult>, MethodologyError> {
+        if let Technique::ReExecution { runs } = technique {
+            return self.evaluate_reexecution(runs, scenarios, &set.trains, &set.labels);
+        }
         if scenarios.len() > 1 {
             if let Some(overlays) = self.neuron_only_overlays(scenarios) {
-                match technique {
-                    Technique::NoMitigation => {
-                        self.engine.reload_parameters(&mut NoGuard);
-                        return Ok(self.record_multi_map(&overlays, &DirectRead, &NoGuard, set));
-                    }
-                    Technique::Bnp(variant) => {
-                        let mut monitor = ResetMonitor::new(self.qn.n_neurons, self.monitor_window);
-                        self.engine.reload_parameters(&mut monitor);
-                        let path = BoundedRead::new(self.bounding_for(variant));
-                        return Ok(self.record_multi_map(&overlays, &path, &monitor, set));
-                    }
-                    Technique::ReExecution { .. } => {}
+                if let Technique::Bnp(variant) = technique {
+                    let mut monitor = ResetMonitor::new(self.qn.n_neurons, self.monitor_window);
+                    self.engine.reload_parameters(&mut monitor);
+                    let path = BoundedRead::new(self.bounding_for(variant));
+                    return Ok(self.record_multi_map(&overlays, &path, &monitor, set));
                 }
+                self.engine.reload_parameters(&mut NoGuard);
+                return Ok(self.record_multi_map(&overlays, &DirectRead, &NoGuard, set));
             }
         }
         scenarios
@@ -770,28 +806,16 @@ impl SoftSnnDeployment {
     /// overlays — injecting nothing and overlaying nothing are the same
     /// event.
     fn neuron_only_overlays(&self, scenarios: &[FaultScenario]) -> Option<Vec<NeuronFaultOverlay>> {
-        let mut overlays = Vec::with_capacity(scenarios.len());
-        for scenario in scenarios {
-            if scenario.is_clean() {
-                overlays.push(NeuronFaultOverlay::new());
-                continue;
-            }
-            let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
-            let map = FaultMap::generate(&space, scenario.rate, scenario.seed);
-            if map.n_weight_bits() > 0 {
-                return None;
-            }
-            overlays.push(
-                map.sites()
-                    .iter()
-                    .map(|site| match *site {
-                        FaultSite::NeuronOp { neuron, op } => (neuron, op),
-                        FaultSite::WeightBit { .. } => unreachable!("weight sites filtered above"),
-                    })
-                    .collect(),
-            );
-        }
-        Some(overlays)
+        scenarios
+            .iter()
+            .map(|scenario| {
+                if scenario.is_clean() {
+                    return Some(NeuronFaultOverlay::new());
+                }
+                let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
+                neuron_overlay(&FaultMap::generate(&space, scenario.rate, scenario.seed))
+            })
+            .collect()
     }
 
     /// Runs a lowered trial group through the engine's multi-map pass and
@@ -818,6 +842,129 @@ impl SoftSnnDeployment {
             .collect()
     }
 
+    /// Execution `k`'s fault map for `sample` under `scenario`: its own
+    /// draw from `derive_seed(scenario.seed, sample·runs + k)`. Each
+    /// execution is exposed only to the strikes landing within its own
+    /// window, so the rate is the scenario's × the re-execution exposure
+    /// (see [`DEFAULT_REEXEC_EXPOSURE`]).
+    fn exec_map(&self, scenario: &FaultScenario, runs: usize, sample: usize, k: usize) -> FaultMap {
+        let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
+        let rate = scenario.rate * self.reexec_exposure;
+        if scenario.is_clean() || rate <= 0.0 {
+            return FaultMap::empty(&space);
+        }
+        FaultMap::generate(
+            &space,
+            rate,
+            derive_seed(scenario.seed, (sample * runs + k) as u64),
+        )
+    }
+
+    /// Re-execution ×`runs` of every scenario in `scenarios` over the
+    /// same labeled trains — one [`EvalResult`] per scenario, in order.
+    ///
+    /// Every execution draws its own map ([`exec_map`](Self::exec_map))
+    /// and starts from healed parameters. Per sample, the K × `runs`
+    /// maps are drawn in execution order until one strikes a weight bit
+    /// (only one sample's maps are ever held):
+    ///
+    /// * if every map is neuron-only, the distinct maps go through one
+    ///   multi-map pass over the sample and each scenario's executions
+    ///   are voted from the shared counts. After a heal the base neuron
+    ///   plane is empty and the crossbar is the clean image plus stuck
+    ///   bits, so each execution equals its overlay plane alone — the
+    ///   property [`ComputeEngine::run_batch_multi_map_reference`]
+    ///   pins;
+    /// * otherwise each execution injects its map (drawing the ones not
+    ///   drawn yet as it goes) and runs on its own.
+    ///
+    /// The engine is healed on entry and again only when an injection
+    /// left it faulty; an execution whose map is empty runs on the
+    /// healed engine as it is.
+    fn evaluate_reexecution(
+        &mut self,
+        runs: u32,
+        scenarios: &[FaultScenario],
+        trains: &[SpikeTrain],
+        labels: &[usize],
+    ) -> Result<Vec<EvalResult>, MethodologyError> {
+        let runs = runs as usize;
+        let n_execs = scenarios.len() * runs;
+        let mut results = vec![EvalResult::new(self.assignment.n_classes()); scenarios.len()];
+        self.engine.reload_parameters(&mut NoGuard);
+        let mut healed = true;
+        let mut maps: Vec<FaultMap> = Vec::with_capacity(n_execs);
+        let mut out = MultiMapResult::new();
+        let mut votes = Vec::with_capacity(runs);
+        for (sample, (train, &label)) in trains.iter().zip(labels).enumerate() {
+            maps.clear();
+            while maps.len() < n_execs && maps.last().is_none_or(|m| m.n_weight_bits() == 0) {
+                let e = maps.len();
+                maps.push(self.exec_map(&scenarios[e / runs], runs, sample, e % runs));
+            }
+            let overlays: Option<Vec<NeuronFaultOverlay>> =
+                maps.iter().map(neuron_overlay).collect();
+            if let Some(overlays) = overlays {
+                let mut distinct = Vec::new();
+                let slots: Vec<usize> = overlays
+                    .into_iter()
+                    .map(|overlay| slot_of(&mut distinct, overlay))
+                    .collect();
+                if !healed {
+                    self.engine.reload_parameters(&mut NoGuard);
+                    healed = true;
+                }
+                self.engine.run_batch_multi_map(
+                    std::slice::from_ref(train),
+                    &distinct,
+                    &DirectRead,
+                    &NoGuard,
+                    &mut out,
+                );
+                let predictions: Vec<Option<usize>> = (0..distinct.len())
+                    .map(|m| self.assignment.predict(out.counts(m, 0)))
+                    .collect();
+                for (i, result) in results.iter_mut().enumerate() {
+                    votes.clear();
+                    votes.extend(
+                        slots[i * runs..(i + 1) * runs]
+                            .iter()
+                            .map(|&m| predictions[m]),
+                    );
+                    result.record(majority_vote(&votes), label);
+                }
+            } else {
+                for (i, (scenario, result)) in scenarios.iter().zip(&mut results).enumerate() {
+                    votes.clear();
+                    for k in 0..runs {
+                        let drawn;
+                        let map = match maps.get(i * runs + k) {
+                            Some(map) => map,
+                            None => {
+                                drawn = self.exec_map(scenario, runs, sample, k);
+                                &drawn
+                            }
+                        };
+                        if !healed {
+                            self.engine.reload_parameters(&mut NoGuard);
+                            healed = true;
+                        }
+                        if !map.is_empty() {
+                            inject(self.engine.engine_mut(), map)?;
+                            healed = false;
+                        }
+                        let counts = self
+                            .engine
+                            .run_sample_into(train, &DirectRead, &mut NoGuard);
+                        votes.push(self.assignment.predict(counts));
+                    }
+                    result.record(majority_vote(&votes), label);
+                }
+            }
+        }
+        Ok(results)
+    }
+
     /// The shared evaluation core behind [`evaluate`](Self::evaluate) and
     /// [`evaluate_encoded`](Self::evaluate_encoded): one technique arm
     /// each for No-Mitigation, BnP, and Re-execution, consuming
@@ -826,9 +973,11 @@ impl SoftSnnDeployment {
     /// The No-Mitigation and BnP arms run the whole test set through the
     /// engine's batched pass ([`ComputeEngine::run_batch_into`]): one
     /// injection, then all samples interleaved over the same persisted
-    /// faults, each with an independent guard clone. Re-execution cannot
-    /// batch across samples — every execution draws its own fault map and
-    /// reloads parameters — and keeps the per-sample loop.
+    /// faults, each with an independent guard clone. Re-execution draws
+    /// its own map per execution, so it cannot share one injection across
+    /// samples; it runs through
+    /// [`evaluate_reexecution`](Self::evaluate_reexecution), which shares
+    /// one drive pass among a sample's neuron-only executions instead.
     fn evaluate_trains(
         &mut self,
         technique: Technique,
@@ -868,29 +1017,11 @@ impl SoftSnnDeployment {
                 self.record_batch(trains, labels, &path, &monitor, &mut result);
             }
             Technique::ReExecution { runs } => {
-                // Each execution reloads parameters (healing accumulated
-                // faults) and is only exposed to the strikes landing
-                // within its own window — see DEFAULT_REEXEC_EXPOSURE.
-                let exec_rate = scenario.rate * self.reexec_exposure;
-                for (sample_idx, (train, &label)) in trains.iter().zip(labels).enumerate() {
-                    let mut votes = Vec::with_capacity(runs as usize);
-                    for k in 0..runs {
-                        self.engine.reload_parameters(&mut NoGuard);
-                        if !scenario.is_clean() && exec_rate > 0.0 {
-                            let exec_seed = derive_seed(
-                                scenario.seed,
-                                (sample_idx as u64) * runs as u64 + k as u64,
-                            );
-                            let map = FaultMap::generate(&space, exec_rate, exec_seed);
-                            inject(self.engine.engine_mut(), &map)?;
-                        }
-                        let counts = self
-                            .engine
-                            .run_sample_into(train, &DirectRead, &mut NoGuard);
-                        votes.push(self.assignment.predict(counts));
-                    }
-                    result.record(majority_vote(&votes), label);
-                }
+                let scenarios = std::slice::from_ref(scenario);
+                result = self
+                    .evaluate_reexecution(runs, scenarios, trains, labels)?
+                    .pop()
+                    .expect("one result per scenario");
             }
         }
         Ok(result)
@@ -1272,7 +1403,8 @@ mod tests {
     /// The trial-group contract: `evaluate_encoded_group` is bit-identical
     /// to one `evaluate_encoded` call per scenario — through the
     /// multi-map fast path (neuron-only groups under No-Mitigation and
-    /// BnP) and through the fallback (mixed-domain groups, re-execution).
+    /// BnP), through the fallback (mixed-domain groups), and through
+    /// re-execution's per-sample shared pass.
     #[test]
     fn encoded_group_matches_per_scenario_evaluation() {
         let (mut d, images, labels) = tiny_deployment();
@@ -1355,6 +1487,43 @@ mod tests {
             &mut rng,
         );
         assert!(err.is_err());
+    }
+
+    /// Runs `evaluate_custom_bnp` on mismatched `images`/`labels` and
+    /// requires the error `evaluate` gives.
+    fn assert_custom_bnp_rejects(images: &[Vec<f32>], labels: &[usize]) {
+        let (mut d, _, _) = tiny_deployment();
+        let bounding = d.bounding_for(BnpVariant::Bnp3);
+        let err = d
+            .evaluate_custom_bnp(
+                bounding,
+                2,
+                &FaultScenario::clean(),
+                images,
+                labels,
+                &mut seeded_rng(8),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MethodologyError::Sim(SnnError::ShapeMismatch {
+                expected: images.len(),
+                actual: labels.len(),
+                what: "labels",
+            })
+        );
+    }
+
+    #[test]
+    fn custom_bnp_rejects_extra_labels() {
+        let (_, images, labels) = tiny_deployment();
+        assert_custom_bnp_rejects(&images, &[labels.as_slice(), &[0]].concat());
+    }
+
+    #[test]
+    fn custom_bnp_rejects_extra_images() {
+        let (_, images, labels) = tiny_deployment();
+        assert_custom_bnp_rejects(&images, &labels[1..]);
     }
 
     #[test]
